@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NotPositiveDefiniteError
+from .errors import DimensionError, NotPositiveDefiniteError
 from .graphs import Dag
 
 
@@ -45,6 +45,20 @@ class CholeskyParam:
         return self.L.shape[0]
 
 
+def spd_cholesky(A, name: str) -> np.ndarray:
+    """Lower Cholesky factor of a square, symmetric, positive definite
+    matrix; ``name`` labels the error raised when A is not one."""
+    A = np.asarray(A, dtype=float)
+    if A.ndim != 2 or A.shape[0] != A.shape[1]:
+        raise DimensionError(f"{name} must be square, got shape {A.shape}")
+    if not np.allclose(A, A.T, rtol=1e-10, atol=1e-12):
+        raise NotPositiveDefiniteError(f"{name} must be symmetric")
+    try:
+        return np.linalg.cholesky((A + A.T) / 2.0)
+    except np.linalg.LinAlgError as exc:
+        raise NotPositiveDefiniteError(f"{name} is not positive definite") from exc
+
+
 def modified_cholesky(omega: np.ndarray) -> CholeskyParam:
     """Factor a symmetric positive definite matrix as L diag(1/dvec) L^T.
 
@@ -52,15 +66,7 @@ def modified_cholesky(omega: np.ndarray) -> CholeskyParam:
     C C^T by normalizing each column of C; uniqueness of both
     factorizations makes the results identical.
     """
-    A = np.asarray(omega, dtype=float)
-    if A.ndim != 2 or A.shape[0] != A.shape[1]:
-        raise ValueError("omega must be square")
-    if not np.allclose(A, A.T, rtol=1e-10, atol=1e-12):
-        raise ValueError("omega must be symmetric")
-    try:
-        C = np.linalg.cholesky((A + A.T) / 2.0)
-    except np.linalg.LinAlgError as exc:
-        raise NotPositiveDefiniteError("omega is not positive definite") from exc
+    C = spd_cholesky(omega, "omega")
     diag = np.diag(C).copy()
     L = C / diag[np.newaxis, :]
     dvec = 1.0 / diag**2

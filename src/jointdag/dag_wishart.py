@@ -140,9 +140,7 @@ class ColumnZDeltaCache:
     log z(U_post, n + alpha) - log z(U, alpha) under the shape rule
     alpha_i = nu_i + offset.  Results are cached by (vertex, parent set);
     only vertices whose parent set changes need recomputation, so one
-    single-edge proposal costs two small determinants at most.  The cache
-    is a plain dict: concurrent readers are safe and racing writers store
-    identical values.
+    single-edge proposal costs two small determinants at most.
     """
 
     def __init__(self, U: np.ndarray, U_post: np.ndarray, n: int, offset: float):
@@ -164,6 +162,3 @@ class ColumnZDeltaCache:
             )
             self._memo[key] = val
         return val
-
-    def total(self, dag: Dag) -> float:
-        return sum(self.delta(i, dag.parents[i]) for i in range(dag.p))

@@ -1,22 +1,17 @@
 """Metropolis-within-Gibbs sampler over (inclusion vector, DAG).
 
 Each sweep makes one add/delete move on the inclusion vector and then
-one add/delete move on every DAG column.  Given the inclusion vector the
-column targets are mutually independent, so column moves may be
-evaluated concurrently and committed in column order with no change in
-the result.
+one add/delete move on every DAG column, in column order.
 
 Reproducibility: a root seed derives one counter-based stream for the
 inclusion moves and one per column, so the chain output is a pure
-function of (data, hyperparameters, control) regardless of the worker
-count.
+function of (data, hyperparameters, control).
 """
 
 from __future__ import annotations
 
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -51,31 +46,13 @@ class _Stream:
 
 
 class ChainStreams:
-    """Independent random streams: one for the inclusion vector, one per
-    DAG column, and one for choosing columns in single-move mode."""
+    """Independent random streams: one for the inclusion vector and one
+    per DAG column."""
 
     def __init__(self, seed: int, p: int):
-        kids = np.random.SeedSequence(seed).spawn(p + 2)
+        kids = np.random.SeedSequence(seed).spawn(p + 1)
         self.gamma = _Stream(kids[0])
         self.columns = [_Stream(kids[c + 1]) for c in range(p)]
-        self.chooser = _Stream(kids[p + 1])
-
-
-class _SharedStream:
-    """Adapter presenting a single generator under the stream-set layout."""
-
-    def __init__(self, rng):
-        self.gamma = rng
-        self.columns = _ConstList(rng)
-        self.chooser = rng
-
-
-class _ConstList:
-    def __init__(self, rng):
-        self._rng = rng
-
-    def __getitem__(self, _):
-        return self._rng
 
 
 # ---------------------------------------------------------------------------
@@ -367,7 +344,7 @@ def _gamma_step(state: ChainState, stream, accum, sweep: int) -> bool:
 
 
 def _eval_column(state: ChainState, c: int, stream):
-    """Propose and decide one column move without touching shared state."""
+    """Propose and decide one column move without changing the state."""
     parents = state.parents[c]
     j, is_add, nu2, new_pa, lqf, lqr = _propose_in_column(parents, c, state.p, stream)
     if is_add and nu2 >= state.R:
@@ -402,48 +379,24 @@ def _commit_column(state: ChainState, decision, accum, sweep: int) -> int:
     return 1
 
 
-def _eval_chunk(state, lo, hi, columns):
-    return [_eval_column(state, c, columns[c]) for c in range(lo, hi)]
-
-
-def _sweep(state, streams, accum=None, executor=None, n_chunks=1, dag_moves="columns"):
+def _sweep(state, streams, accum=None):
     sweep = state.iteration + 1
     accepted_gamma = _gamma_step(state, streams.gamma, accum, sweep)
     n_col_accepts = 0
-    n_cols = state.p - 1
-    if n_cols > 0:
-        if dag_moves == "single":
-            c = int(streams.chooser.random() * n_cols)
-            dec = _eval_column(state, c, streams.columns[c])
-            n_col_accepts += _commit_column(state, dec, accum, sweep)
-        elif executor is None:
-            columns = streams.columns
-            for c in range(n_cols):
-                dec = _eval_column(state, c, columns[c])
-                n_col_accepts += _commit_column(state, dec, accum, sweep)
-        else:
-            bounds = np.linspace(0, n_cols, n_chunks + 1).astype(int)
-            futures = [
-                executor.submit(_eval_chunk, state, int(lo), int(hi), streams.columns)
-                for lo, hi in zip(bounds[:-1], bounds[1:])
-                if hi > lo
-            ]
-            for fut in futures:
-                for dec in fut.result():
-                    n_col_accepts += _commit_column(state, dec, accum, sweep)
+    columns = streams.columns
+    for c in range(state.p - 1):
+        dec = _eval_column(state, c, columns[c])
+        n_col_accepts += _commit_column(state, dec, accum, sweep)
     state.iteration = sweep
     return accepted_gamma, n_col_accepts
 
 
-def gibbs_sweep(state: ChainState, data: Dataset, hyper: Hyperparameters, rng) -> ChainState:
-    """One full sweep, mutating and returning the state.
-
-    ``rng`` may be a ChainStreams set (reproducible parallel layout) or
-    any single generator with a ``random()`` method.
-    """
+def gibbs_sweep(
+    state: ChainState, data: Dataset, hyper: Hyperparameters, streams: ChainStreams
+) -> ChainState:
+    """One full sweep, mutating and returning the state."""
     if data.p != state.p:
         raise DimensionError("data dimension does not match the chain state")
-    streams = rng if isinstance(rng, ChainStreams) else _SharedStream(rng)
     _sweep(state, streams)
     return state
 
@@ -549,25 +502,21 @@ class _Accumulators:
 
 @dataclass
 class ChainControl:
-    """Run-length, seeding, and execution options for one chain."""
+    """Run-length, seeding, and start options for one chain."""
 
     iters: int = 10000
     burnin: int = 5000
     seed: int = 0
-    workers: int = 1
     init: object = "empty"  # "empty" | "corr" | (gamma, dag)
-    dag_moves: str = "columns"  # "columns" | "single"
     corr_threshold: float = 0.25
     spot_check_every: int = 1000
     trace: object = None  # path for line-delimited sweep records
 
     def __post_init__(self):
         if self.burnin < 0 or self.iters <= self.burnin:
-            raise ValueError("need iters > burnin >= 0")
-        if self.workers < 1:
-            raise ValueError("workers must be at least 1")
-        if self.dag_moves not in ("columns", "single"):
-            raise ValueError(f"unknown dag_moves mode {self.dag_moves!r}")
+            raise ValueError(
+                f"iters must exceed burnin >= 0, got iters={self.iters}, burnin={self.burnin}"
+            )
 
 
 @dataclass
@@ -592,8 +541,7 @@ class ChainSummary:
 def run_chain(data: Dataset, hyper: Hyperparameters, control: ChainControl) -> ChainSummary:
     """Run one chain and average inclusion indicators over kept sweeps.
 
-    Output is deterministic in (data, hyper, control.seed) for any
-    worker count.
+    Output is deterministic in (data, hyper, control).
     """
     engine = ScoreEngine(data, hyper)
     state = init_state(
@@ -603,22 +551,10 @@ def run_chain(data: Dataset, hyper: Hyperparameters, control: ChainControl) -> C
     accum = _Accumulators(data.p, control.burnin, control.iters)
     accum.start(state)
 
-    executor = None
-    n_chunks = 1
     trace_fh = open(control.trace, "w") if control.trace else None
     try:
-        if control.workers > 1 and data.p > 2:
-            executor = ThreadPoolExecutor(max_workers=control.workers)
-            n_chunks = control.workers
         for s in range(1, control.iters + 1):
-            acc_g, acc_d = _sweep(
-                state,
-                streams,
-                accum=accum,
-                executor=executor,
-                n_chunks=n_chunks,
-                dag_moves=control.dag_moves,
-            )
+            acc_g, acc_d = _sweep(state, streams, accum)
             if trace_fh is not None:
                 trace_fh.write(
                     json.dumps(
@@ -636,8 +572,6 @@ def run_chain(data: Dataset, hyper: Hyperparameters, control: ChainControl) -> C
             if control.spot_check_every and s % control.spot_check_every == 0:
                 check_state_consistency(state)
     finally:
-        if executor is not None:
-            executor.shutdown()
         if trace_fh is not None:
             trace_fh.close()
     check_state_consistency(state)

@@ -49,8 +49,7 @@ class ScoreEngine:
 
     Holds the prior and posterior scale matrices, the memoized per-column
     normalizer deltas, and a memo of integrated likelihood values keyed
-    by the selected index tuple.  All methods are pure given the dataset,
-    so concurrent use is safe.
+    by the selected index tuple.  All methods are pure given the dataset.
     """
 
     def __init__(self, data: Dataset, hyper: Hyperparameters):

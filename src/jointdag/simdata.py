@@ -33,8 +33,8 @@ from .graphs import Dag
 class Dataset:
     """Design matrix X (n x p) and response Y (n,) with per-dataset caches.
 
-    ``gram`` is X'X, ``xty`` is X'Y, ``yty`` is Y'Y and ``S`` is X'X / n;
-    they are computed once so that model scoring never touches the n
+    ``gram`` is X'X, ``xty`` is X'Y and ``yty`` is Y'Y; they are
+    computed once so that model scoring never touches the n
     dimension again.
     """
 
@@ -67,11 +67,6 @@ class Dataset:
     def p(self) -> int:
         return self.X.shape[1]
 
-    @property
-    def S(self) -> np.ndarray:
-        """Scaled cross-product X'X / n (zero matrix when n = 0)."""
-        return self.gram / self.n if self.n > 0 else self.gram
-
     @classmethod
     def from_csv(cls, x_path, y_path) -> "Dataset":
         return cls(load_matrix_csv(x_path), load_matrix_csv(y_path).ravel())
@@ -79,7 +74,8 @@ class Dataset:
 
 def load_matrix_csv(path) -> np.ndarray:
     """Read a comma-separated numeric matrix; a header row is auto-detected
-    by testing whether the first cell parses as a number."""
+    by testing whether the first cell parses as a number.  Ragged rows,
+    unparsable cells and non-finite values raise DataError naming the file."""
     path = Path(path)
     with path.open() as fh:
         first = fh.readline()
@@ -91,7 +87,13 @@ def load_matrix_csv(path) -> np.ndarray:
         skip = 0
     except ValueError:
         skip = 1
-    out = np.loadtxt(path, delimiter=",", skiprows=skip, ndmin=2)
+    try:
+        out = np.loadtxt(path, delimiter=",", skiprows=skip, ndmin=2)
+    except ValueError as exc:
+        raise DataError(f"{path}: {exc}") from exc
+    bad = np.flatnonzero(~np.isfinite(out).all(axis=1))
+    if bad.size:
+        raise DataError(f"{path}: non-finite value in data row {bad[0] + 1}")
     return out
 
 

@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
+from .cholesky import spd_cholesky
 from .errors import DataError
 
 
@@ -27,7 +28,8 @@ class Hyperparameters:
     inverse-gamma(a0, b0) noise prior; setting ``sigma2`` to a positive
     number selects the known-variance model.  ``R = None`` resolves to
     the number of covariates at scoring time.  ``U = None`` means an
-    identity scale matrix.
+    identity scale matrix; a given ``U`` must be square, symmetric and
+    positive definite.  Every range error names its field first.
     """
 
     tau2: float = 1.0
@@ -46,18 +48,22 @@ class Hyperparameters:
             raise ValueError(f"tau2 must be positive, got {self.tau2}")
         if self.sigma2 is not None and self.sigma2 <= 0:
             raise ValueError(f"sigma2 must be positive, got {self.sigma2}")
-        if self.a0 <= 0 or self.b0 <= 0:
-            raise ValueError("a0 and b0 must be positive")
+        if self.a0 <= 0:
+            raise ValueError(f"a0 must be positive, got {self.a0}")
+        if self.b0 <= 0:
+            raise ValueError(f"b0 must be positive, got {self.b0}")
         if self.a <= 0:
-            raise ValueError(f"sparsity penalty a must be positive, got {self.a}")
+            raise ValueError(f"a (sparsity penalty) must be positive, got {self.a}")
         if self.b < 0:
-            raise ValueError(f"smoothness b must be nonnegative, got {self.b}")
+            raise ValueError(f"b (graph coupling) must be nonnegative, got {self.b}")
         if not 0.0 < self.q < 1.0:
-            raise ValueError(f"edge probability q must lie in (0, 1), got {self.q}")
+            raise ValueError(f"q (edge probability) must lie in (0, 1), got {self.q}")
         if self.R is not None and (int(self.R) != self.R or self.R < 0):
-            raise ValueError(f"complexity bound R must be a nonnegative integer, got {self.R}")
+            raise ValueError(f"R (complexity bound) must be a nonnegative integer, got {self.R}")
         if self.alpha_offset <= 2:
             raise ValueError(f"alpha_offset must exceed 2, got {self.alpha_offset}")
+        if self.U is not None:
+            spd_cholesky(self.U, "U")
 
     @property
     def known_variance(self) -> bool:

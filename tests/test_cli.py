@@ -5,6 +5,7 @@ import pytest
 
 from jointdag.cli import main, parse_config, run
 from jointdag.errors import ConfigError
+from jointdag.sampler import ChainControl
 from jointdag.simdata import save_matrix_csv
 
 
@@ -42,9 +43,24 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="iters"):
             parse_config(str(path), mode="simulate")
 
-    def test_constraint_error_names_key(self):
-        with pytest.raises(ConfigError, match="'q'"):
-            parse_config(None, {"q": 1.5}, mode="simulate")
+    @pytest.mark.parametrize(
+        "key,value",
+        [
+            ("q", 1.5),
+            ("tau2", 0.0),
+            ("a", 0.0),
+            ("b", -0.5),
+            ("sigma2", 0.0),
+            ("a0", 0.0),
+            ("b0", -1.0),
+            ("alpha_offset", 2.0),
+            ("R", -1),
+            ("iters", 100),
+        ],
+    )
+    def test_constraint_error_names_key(self, key, value):
+        with pytest.raises(ConfigError, match=f"config key '{key}'"):
+            parse_config(None, {key: value}, mode="simulate")
 
     def test_missing_file_for_fit(self, tmp_path):
         with pytest.raises(ConfigError, match="'x'"):
@@ -144,14 +160,6 @@ class TestFitEvaluate:
             self._fit(sim, out, iters=500, burnin=100)
             blobs.append((out / "summary.json").read_bytes())
         assert blobs[0] == blobs[1]
-
-    def test_fit_deterministic_across_workers(self, sim, tmp_path):
-        outs = []
-        for w, name in ((1, "w1"), (4, "w4")):
-            out = tmp_path / name
-            self._fit(sim, out, workers=w)
-            outs.append((out / "summary.json").read_bytes())
-        assert outs[0] == outs[1]
 
     def test_fit_trace(self, sim, tmp_path):
         out = tmp_path / "tr"
@@ -286,6 +294,23 @@ class TestReplicate:
             outs.append((out / "replicates.csv").read_bytes())
         assert outs[0] == outs[1]
 
+    def test_each_chain_built_through_cli_chaincontrol(self, tmp_path, monkeypatch):
+        # The benchmark's traced batch swaps cli.ChainControl to give every
+        # replicate chain a trace file, and only those chains may use it.
+        from jointdag import cli
+
+        traces = []
+
+        def with_trace(**kw):
+            traces.append(tmp_path / f"chain-{len(traces)}.jsonl")
+            return ChainControl(**kw, trace=str(traces[-1]))
+
+        monkeypatch.setattr(cli, "ChainControl", with_trace)
+        argv = ["replicate", "--scenario", "3", "--reps", "2", "--n", "25", "--n-test", "10"]
+        assert main(argv + ["--iters", "30", "--burnin", "10", "--out", str(tmp_path / "o")]) == 0
+        assert len(traces) == 4
+        assert all(len(t.read_text().splitlines()) == 30 for t in traces)
+
     def test_baseline_merge(self, tmp_path):
         base = tmp_path / "lasso.txt"
         sel = "1" * 10 + "0" * 140
@@ -342,6 +367,22 @@ class TestMain:
         rc = main(["fit", "--x", str(tmp_path / "nope.csv"), "--y", str(tmp_path / "nope.csv")])
         assert rc == 2
         assert "config key" in capsys.readouterr().err
+
+    def _fit_bad_x(self, tmp_path, x_text):
+        (tmp_path / "X.csv").write_text(x_text)
+        (tmp_path / "Y.csv").write_text("1\n2\n3\n")
+        argv = ["fit", "--x", str(tmp_path / "X.csv"), "--y", str(tmp_path / "Y.csv")]
+        return main(argv + ["--iters", "20", "--burnin", "5", "--out", str(tmp_path / "out")])
+
+    def test_cli_ragged_csv_exits_2(self, tmp_path, capsys):
+        assert self._fit_bad_x(tmp_path, "1,2\n3\n5,6\n") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "X.csv" in err and "row" in err
+
+    def test_cli_nan_csv_exits_2(self, tmp_path, capsys):
+        assert self._fit_bad_x(tmp_path, "1,2\n3,nan\n5,6\n") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "X.csv" in err and "row 2" in err
 
     def test_byte_identical_reruns(self, tmp_path):
         outs = []

@@ -193,7 +193,7 @@ class TestColumnZDeltaCache:
             prior = DagWishartParams(U, alpha)
             post = DagWishartParams(U + X.T @ X, alpha + n)
             direct = log_z(dag, post) - log_z(dag, prior)
-            total = cache.total(dag)
+            total = sum(cache.delta(i, dag.parents[i]) for i in range(p))
             assert total == pytest.approx(direct, abs=1e-10)
             # second lookup hits the memo and is identical
-            assert cache.total(dag) == total
+            assert sum(cache.delta(i, dag.parents[i]) for i in range(p)) == total

@@ -23,7 +23,6 @@ class TestDataset:
         assert np.allclose(d.gram, X.T @ X)
         assert np.allclose(d.xty, X.T @ Y)
         assert d.yty == pytest.approx(float(Y @ Y))
-        assert np.allclose(d.S, X.T @ X / 7)
 
     def test_rejects_nonfinite(self):
         with pytest.raises(DataError):

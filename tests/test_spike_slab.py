@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from jointdag import Hyperparameters, adjacency, log_marginal_likelihood, log_mrf_prior, submatrix
-from jointdag.errors import DataError
+from jointdag.errors import DataError, DimensionError, NotPositiveDefiniteError
 
 from oracles import random_dag
 
@@ -49,6 +49,22 @@ class TestHyperparameters:
     def test_rejects_bad_values(self, kwargs):
         with pytest.raises(ValueError):
             Hyperparameters(**kwargs)
+
+    def test_accepts_pd_scale(self):
+        U = np.array([[2.0, 0.5], [0.5, 1.0]])
+        assert Hyperparameters(U=U).U is U
+
+    @pytest.mark.parametrize(
+        "U,error,message",
+        [
+            (np.ones((2, 3)), DimensionError, "U must be square"),
+            ([[2.0, 0.9], [0.0, 1.0]], NotPositiveDefiniteError, "U must be symmetric"),
+            ([[1.0, 2.0], [2.0, 1.0]], NotPositiveDefiniteError, "U is not positive definite"),
+        ],
+    )
+    def test_rejects_bad_scale(self, U, error, message):
+        with pytest.raises(error, match=message):
+            Hyperparameters(U=np.asarray(U))
 
 
 class TestLogMrfPrior:
