@@ -310,6 +310,31 @@ class TestRunChain:
         assert set(lines[0]) == {"iter", "size", "edges", "log_score", "accept_gamma", "dag_accepts"}
         assert lines[-1]["iter"] == 50
 
+    @pytest.mark.parametrize("burnin", [0, 70])
+    def test_kept_window_counts(self, burnin):
+        # Snapshot t is the state after sweep t and is kept when
+        # burnin < t <= iters; replay the chain by hand and count.
+        rng = np.random.default_rng(17)
+        data = chain_data(rng, n=30, p=5)
+        hyper = Hyperparameters(b=0.5, R=3)
+        control = ChainControl(iters=240, burnin=burnin, seed=9, init="corr", spot_check_every=0)
+        summary = run_chain(data, hyper, control)
+        state = init_state(data, hyper, init="corr", corr_threshold=control.corr_threshold)
+        streams = ChainStreams(control.seed, data.p)
+        var_counts = np.zeros(data.p)
+        edge_counts = np.zeros((data.p, data.p))
+        for _ in range(control.iters):
+            gibbs_sweep(state, data, hyper, streams)
+            if state.iteration > burnin:
+                var_counts += state.gamma_arr
+                for c, pa in enumerate(state.parents):
+                    edge_counts[c, list(pa)] += 1
+        n_kept = control.iters - burnin
+        assert summary.n_kept == n_kept
+        assert edge_counts.sum() > 0 and 0 < var_counts.sum() < data.p * n_kept
+        assert np.array_equal(summary.inclusion_probs, var_counts / n_kept)
+        assert np.array_equal(summary.edge_probs, edge_counts / n_kept)
+
     def test_corr_init_runs(self):
         rng = np.random.default_rng(14)
         data = chain_data(rng, n=40, p=4)
