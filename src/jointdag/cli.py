@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, sampler
-from .errors import ConfigError, DataError, DimensionError
+from .errors import ConfigError, DataError, DimensionError, RankDeficientError, UndefinedAUCError
 from .graphs import dag_to_edge_csv
 from .metrics import evaluate_selection
 from .sampler import ChainControl, ChainSummary, median_probability_model, run_chain
@@ -443,7 +443,7 @@ def main(argv=None) -> int:
     try:
         config = parse_config(config_path, overrides, mode=mode)
         return run(config)
-    except (ConfigError, DataError, DimensionError) as exc:
+    except (ConfigError, DataError, DimensionError, RankDeficientError, UndefinedAUCError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -1,7 +1,12 @@
 """Metropolis-within-Gibbs sampler over (inclusion vector, DAG).
 
 Each sweep makes one add/delete move on the inclusion vector and then
-one add/delete move on every DAG column, in column order.
+one add/delete move on every DAG column, in column order; each move
+type is one step function that proposes, decides and commits.  The
+state keeps the parent sets (the normalizer memo keys) beside one dense
+symmetric adjacency matrix, whose rows give the graph neighbours the
+coupling prior needs and whose running sum gives the edge inclusion
+probabilities.
 
 Reproducibility: a root seed derives one counter-based stream for the
 inclusion moves and one per column, so the chain output is a pure
@@ -167,7 +172,7 @@ class ChainState:
         "gamma_list",
         "active",
         "parents",
-        "children",
+        "G",
         "col_dlz",
         "n_edges",
         "mrf_log",
@@ -194,15 +199,13 @@ class ChainState:
         self.gamma_list = [int(v) for v in self.gamma_arr]
         self.active = [int(j) for j in np.flatnonzero(self.gamma_arr)]
         self.parents = list(parents)
-        self.children: list[set[int]] = [set() for _ in range(p)]
-        for c, pa in enumerate(self.parents):
-            for j in pa:
-                self.children[j].add(c)
-        self.n_edges = sum(len(pa) for pa in self.parents)
-        self.col_dlz = [engine.col_delta(c, self.parents[c]) for c in range(p)]
-        self.dlz_total = sum(self.col_dlz)
         dag = self.dag()
-        self.mrf_log = log_mrf_prior(self.gamma_arr, adjacency(dag), hyper)
+        # Wide ints: row-times-gamma neighbour counts must not wrap.
+        self.G = adjacency(dag).astype(np.intp)
+        self.n_edges = dag.n_edges
+        self.col_dlz = [engine.zcache.delta(c, pa) for c, pa in enumerate(self.parents)]
+        self.dlz_total = sum(self.col_dlz)
+        self.mrf_log = log_mrf_prior(self.gamma_arr, self.G, hyper)
         self.dag_prior_log = log_prior_dag(dag, hyper.q, self.R)
         self.marginal_log = engine.marginal(tuple(self.active))
         self.iteration = 0
@@ -213,9 +216,6 @@ class ChainState:
 
     def dag(self) -> Dag:
         return Dag(self.p, tuple(self.parents))
-
-    def gamma(self) -> np.ndarray:
-        return self.gamma_arr.copy()
 
     @property
     def log_score(self) -> float:
@@ -259,7 +259,13 @@ def init_state(
 def _corr_init(data: Dataset, threshold: float, R: int) -> list[tuple[int, ...]]:
     """Per-column warm start: parents are the larger-indexed covariates whose
     marginal correlation with the column exceeds the threshold (strongest
-    first, capped below the complexity bound)."""
+    first, capped below the complexity bound).
+
+    A constant column has no defined correlation; it counts as zero, so
+    such a column gets no warm-start parents and is never one.  The chain
+    itself may still add its edges: scoring stays well defined because
+    ``U + X'X`` and ``I + tau2 X'X`` remain positive definite.
+    """
     with np.errstate(invalid="ignore", divide="ignore"):
         corr = np.corrcoef(data.X.T)
     corr = np.nan_to_num(corr)
@@ -281,8 +287,7 @@ def _gamma_flip_parts(state: ChainState, k: int, adding: bool):
     """Score change from flipping variable k, with the pieces needed to commit."""
     if adding and len(state.active) + 1 >= state.R:
         return -math.inf, None, 0.0, 0.0
-    glist = state.gamma_list
-    nbr = sum(glist[j] for j in state.parents[k]) + sum(glist[j] for j in state.children[k])
+    nbr = int(state.G[k] @ state.gamma_arr)
     dmrf = (-state.a_pen + state.b2 * nbr) if adding else (state.a_pen - state.b2 * nbr)
     if adding:
         new_active = sorted(state.active + [k])
@@ -321,7 +326,7 @@ def dag_flip_log_ratio(state: ChainState, c: int, j: int) -> float:
     return _dag_delta(state, c, j, is_add, new_pa)[0]
 
 
-def _gamma_step(state: ChainState, stream, accum, sweep: int) -> bool:
+def _gamma_step(state: ChainState, stream) -> bool:
     state.gamma_proposals += 1
     new_g, lqf, lqr = propose_gamma(state.gamma_arr, stream)
     k = int(np.flatnonzero(new_g != state.gamma_arr)[0])
@@ -338,27 +343,17 @@ def _gamma_step(state: ChainState, stream, accum, sweep: int) -> bool:
     state.mrf_log += dmrf
     state.marginal_log = new_marg
     state.gamma_accepts += 1
-    if accum is not None:
-        accum.var_flip(k, adding, sweep)
     return True
 
 
-def _eval_column(state: ChainState, c: int, stream):
-    """Propose and decide one column move without changing the state."""
-    parents = state.parents[c]
-    j, is_add, nu2, new_pa, lqf, lqr = _propose_in_column(parents, c, state.p, stream)
+def _column_step(state: ChainState, c: int, stream) -> int:
+    state.col_proposals[c] += 1
+    j, is_add, nu2, new_pa, lqf, lqr = _propose_in_column(state.parents[c], c, state.p, stream)
     if is_add and nu2 >= state.R:
-        return (c, j, is_add, parents, state.col_dlz[c], False)
+        return 0  # prior bound: zero-probability proposal
     d, dlz_new = _dag_delta(state, c, j, is_add, new_pa)
     d += lqr - lqf
-    accepted = d >= 0.0 or stream.random() < math.exp(d)
-    return (c, j, is_add, new_pa, dlz_new, accepted)
-
-
-def _commit_column(state: ChainState, decision, accum, sweep: int) -> int:
-    c, j, is_add, new_pa, dlz_new, accepted = decision
-    state.col_proposals[c] += 1
-    if not accepted:
+    if not (d >= 0.0 or stream.random() < math.exp(d)):
         return 0
     state.col_accepts[c] += 1
     state.parents[c] = new_pa
@@ -368,37 +363,24 @@ def _commit_column(state: ChainState, decision, accum, sweep: int) -> int:
     glist = state.gamma_list
     if state.b2 != 0.0 and glist[c] and glist[j]:
         state.mrf_log += state.b2 if is_add else -state.b2
-    if is_add:
-        state.children[j].add(c)
-        state.n_edges += 1
-    else:
-        state.children[j].discard(c)
-        state.n_edges -= 1
-    if accum is not None:
-        accum.edge_flip(c, j, is_add, sweep)
+    state.G[c, j] = state.G[j, c] = 1 if is_add else 0
+    state.n_edges += 1 if is_add else -1
     return 1
 
 
-def _sweep(state, streams, accum=None):
-    sweep = state.iteration + 1
-    accepted_gamma = _gamma_step(state, streams.gamma, accum, sweep)
+def gibbs_sweep(state: ChainState, streams: ChainStreams) -> tuple[bool, int]:
+    """One full sweep, mutating the state.
+
+    Returns whether the inclusion-vector move was accepted and how many
+    column moves were.
+    """
+    accepted_gamma = _gamma_step(state, streams.gamma)
     n_col_accepts = 0
     columns = streams.columns
     for c in range(state.p - 1):
-        dec = _eval_column(state, c, columns[c])
-        n_col_accepts += _commit_column(state, dec, accum, sweep)
-    state.iteration = sweep
+        n_col_accepts += _column_step(state, c, columns[c])
+    state.iteration += 1
     return accepted_gamma, n_col_accepts
-
-
-def gibbs_sweep(
-    state: ChainState, data: Dataset, hyper: Hyperparameters, streams: ChainStreams
-) -> ChainState:
-    """One full sweep, mutating and returning the state."""
-    if data.p != state.p:
-        raise DimensionError("data dimension does not match the chain state")
-    _sweep(state, streams)
-    return state
 
 
 def check_state_consistency(state: ChainState, tol: float = 1e-6, refresh: bool = True) -> float:
@@ -414,7 +396,7 @@ def check_state_consistency(state: ChainState, tol: float = 1e-6, refresh: bool 
     dag = state.dag()
     fresh_mrf = log_mrf_prior(state.gamma_arr, adjacency(dag), hyper)
     fresh_dp = log_prior_dag(dag, hyper.q, state.R)
-    fresh_dlz = sum(engine.col_delta(c, state.parents[c]) for c in range(state.p))
+    fresh_dlz = sum(engine.zcache.delta(c, pa) for c, pa in enumerate(state.parents))
     idx = np.flatnonzero(state.gamma_arr)
     fresh_marg = log_marginal_likelihood(data.Y, data.X[:, idx], hyper)
     worst = max(
@@ -433,67 +415,6 @@ def check_state_consistency(state: ChainState, tol: float = 1e-6, refresh: bool 
         state.dlz_total = fresh_dlz
         state.marginal_log = fresh_marg
     return worst
-
-
-# ---------------------------------------------------------------------------
-# Accumulation over kept sweeps
-
-
-class _Accumulators:
-    """Streaming averages of inclusion indicators over kept snapshots.
-
-    Snapshot t is the state after sweep t; snapshots with
-    burnin < t <= iters are kept.  Indicators are integrated lazily from
-    flip events, so a sweep with no flips costs nothing.
-    """
-
-    def __init__(self, p: int, burnin: int, iters: int):
-        self.p = p
-        self.burnin = burnin
-        self.iters = iters
-        self.var_cum = np.zeros(p)
-        self.var_on: list[int | None] = [None] * p
-        self.edge_cum: dict[tuple[int, int], int] = {}
-        self.edge_on: dict[tuple[int, int], int] = {}
-
-    def start(self, state: ChainState) -> None:
-        for j in state.active:
-            self.var_on[j] = 1
-        for c, pa in enumerate(state.parents):
-            for j in pa:
-                self.edge_on[(c, j)] = 1
-
-    def _window(self, on: int, last: int) -> int:
-        lo = max(on, self.burnin + 1)
-        return last - lo + 1 if last >= lo else 0
-
-    def var_flip(self, j: int, now_on: bool, sweep: int) -> None:
-        if now_on:
-            self.var_on[j] = sweep
-        else:
-            on = self.var_on[j]
-            self.var_on[j] = None
-            self.var_cum[j] += self._window(on, sweep - 1)
-
-    def edge_flip(self, c: int, j: int, now_on: bool, sweep: int) -> None:
-        if now_on:
-            self.edge_on[(c, j)] = sweep
-        else:
-            on = self.edge_on.pop((c, j))
-            n = self._window(on, sweep - 1)
-            if n:
-                self.edge_cum[(c, j)] = self.edge_cum.get((c, j), 0) + n
-
-    def finalize(self) -> None:
-        for j, on in enumerate(self.var_on):
-            if on is not None:
-                self.var_cum[j] += self._window(on, self.iters)
-                self.var_on[j] = None
-        for key, on in self.edge_on.items():
-            n = self._window(on, self.iters)
-            if n:
-                self.edge_cum[key] = self.edge_cum.get(key, 0) + n
-        self.edge_on.clear()
 
 
 # ---------------------------------------------------------------------------
@@ -541,20 +462,27 @@ class ChainSummary:
 def run_chain(data: Dataset, hyper: Hyperparameters, control: ChainControl) -> ChainSummary:
     """Run one chain and average inclusion indicators over kept sweeps.
 
-    Output is deterministic in (data, hyper, control).
+    Snapshot t is the state after sweep t; it is kept when
+    burnin < t <= iters.  Variable and edge indicators are summed over
+    kept snapshots as exact integer counts; the state's adjacency and the
+    edge sums are dense p x p integer arrays, 2 * p**2 * 8 bytes per
+    chain.  Output is deterministic in (data, hyper, control).
     """
     engine = ScoreEngine(data, hyper)
     state = init_state(
         data, hyper, init=control.init, corr_threshold=control.corr_threshold, engine=engine
     )
     streams = ChainStreams(control.seed, data.p)
-    accum = _Accumulators(data.p, control.burnin, control.iters)
-    accum.start(state)
+    var_cum = np.zeros(data.p, dtype=np.intp)
+    edge_cum = np.zeros((data.p, data.p), dtype=np.intp)
 
     trace_fh = open(control.trace, "w") if control.trace else None
     try:
         for s in range(1, control.iters + 1):
-            acc_g, acc_d = _sweep(state, streams, accum)
+            acc_g, acc_d = gibbs_sweep(state, streams)
+            if s > control.burnin:
+                var_cum += state.gamma_arr
+                edge_cum += state.G
             if trace_fh is not None:
                 trace_fh.write(
                     json.dumps(
@@ -575,19 +503,14 @@ def run_chain(data: Dataset, hyper: Hyperparameters, control: ChainControl) -> C
         if trace_fh is not None:
             trace_fh.close()
     check_state_consistency(state)
-    accum.finalize()
 
     kept = control.iters - control.burnin
-    inclusion = accum.var_cum / kept
-    edge_probs = np.zeros((data.p, data.p))
-    for (c, j), cnt in accum.edge_cum.items():
-        edge_probs[c, j] = cnt / kept
     proposals = np.array(state.col_proposals, dtype=float)
     with np.errstate(invalid="ignore", divide="ignore"):
         dag_acc = np.array(state.col_accepts, dtype=float) / proposals
     return ChainSummary(
-        inclusion_probs=inclusion,
-        edge_probs=edge_probs,
+        inclusion_probs=var_cum / kept,
+        edge_probs=np.triu(edge_cum, 1) / kept,
         gamma_acceptance=state.gamma_accepts / max(state.gamma_proposals, 1),
         dag_acceptance=dag_acc,
         n_kept=kept,

@@ -62,14 +62,10 @@ class ScoreEngine:
         self.hyper = hyper
         self.p = p
         self.R = hyper.effective_R(p)
-        self.U = U
         self.zcache = ColumnZDeltaCache(U, U + data.gram, data.n, hyper.alpha_offset)
         self.log_q = math.log(hyper.q)
         self.log_1mq = math.log1p(-hyper.q)
         self._marginal_memo: dict[tuple[int, ...], float] = {}
-
-    def col_delta(self, i: int, parents: tuple[int, ...]) -> float:
-        return self.zcache.delta(i, parents)
 
     def col_log_prior(self, c: int, nu: int) -> float:
         """Edge-prior contribution of column c with nu parents (no bound check)."""
@@ -127,7 +123,7 @@ def log_joint_score(
     except Exception as exc:  # pragma: no cover
         raise _annotated("log_dag_prior", exc)
     try:
-        dlz = sum(engine.col_delta(i, dag.parents[i]) for i in range(dag.p))
+        dlz = sum(engine.zcache.delta(i, pa) for i, pa in enumerate(dag.parents))
     except Exception as exc:
         raise _annotated("delta_log_z", exc)
     try:
@@ -190,7 +186,7 @@ class PosteriorTable:
         for c in range(p):
             subs = _lex_subsets(range(c + 1, p), R)
             terms = np.array(
-                [engine.col_log_prior(c, len(s)) + engine.col_delta(c, s) for s in subs]
+                [engine.col_log_prior(c, len(s)) + engine.zcache.delta(c, s) for s in subs]
             )
             self.col_subsets.append(subs)
             self._col_terms.append(terms)

@@ -28,7 +28,7 @@ from jointdag import (
 )
 from jointdag.cli import _rep_seeds, main
 from jointdag.metrics import evaluate_selection
-from jointdag.sampler import ChainStreams, init_state, _sweep
+from jointdag.sampler import ChainStreams, gibbs_sweep, init_state
 
 from oracles import dense_log_joint_score, quadrature_normalization, random_dag
 
@@ -99,7 +99,7 @@ def test_criterion_3_sampler_matches_enumeration():
     counts: Counter = Counter()
     burnin, keep = 10000, 200000
     for s in range(burnin + keep):
-        _sweep(state, streams)
+        gibbs_sweep(state, streams)
         if s >= burnin:
             counts[(tuple(state.gamma_list), tuple(state.parents))] += 1
     tv = 0.0

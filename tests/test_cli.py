@@ -214,6 +214,31 @@ class TestFitEvaluate:
         with pytest.raises(DimensionError):
             run(cfg)
 
+    def _evaluate_main(self, sim, tmp_path, selected, x):
+        summary = tmp_path / "summary.json"
+        probs = [0.9, 0.8, 0.7, 0.2, 0.1, 0.1]
+        summary.write_text(json.dumps({"selected_gamma": selected, "inclusion_probs": probs}))
+        argv = ["evaluate", "--summary", str(summary), "--truth", str(tmp_path / "truth.json")]
+        argv += ["--x", str(x), "--y", str(sim / "Y.csv")]
+        argv += ["--x-test", str(sim / "X_test.csv"), "--y-test", str(sim / "Y_test.csv")]
+        return main(argv + ["--out", str(tmp_path / "out")])
+
+    def test_evaluate_duplicate_selected_columns_exits_2(self, sim, tmp_path, capsys):
+        X = np.loadtxt(sim / "X.csv", delimiter=",")
+        X[:, 0] = X[:, 1]
+        save_matrix_csv(tmp_path / "X_dup.csv", X)
+        (tmp_path / "truth.json").write_text((sim / "truth.json").read_text())
+        assert self._evaluate_main(sim, tmp_path, "110000", tmp_path / "X_dup.csv") == 2
+        assert capsys.readouterr().err.startswith("error: selected Gram matrix is singular")
+
+    def test_evaluate_all_zero_truth_exits_2(self, sim, tmp_path, capsys):
+        doc = json.loads((sim / "truth.json").read_text())
+        doc["gamma0"] = "0" * 6
+        doc["beta0"] = [0.0] * 6
+        (tmp_path / "truth.json").write_text(json.dumps(doc))
+        assert self._evaluate_main(sim, tmp_path, "100000", sim / "X.csv") == 2
+        assert capsys.readouterr().err.startswith("error: truth labels are all equal")
+
 
 class TestReplicate:
     def test_small_replicate_table(self, tmp_path):

@@ -216,7 +216,7 @@ class TestGibbsSweep:
         state = init_state(data, hyper)
         streams = ChainStreams(7, 4)
         for _ in range(400):
-            gibbs_sweep(state, data, hyper, streams)
+            gibbs_sweep(state, streams)
             assert len(state.active) < 2
             assert all(len(pa) < 2 for pa in state.parents)
         check_state_consistency(state, tol=1e-8)
@@ -229,7 +229,7 @@ class TestGibbsSweep:
         streams = ChainStreams(11, 5)
         worst = 0.0
         for s in range(3000):
-            gibbs_sweep(state, data, hyper, streams)
+            gibbs_sweep(state, streams)
             if (s + 1) % 1000 == 0:
                 worst = max(worst, check_state_consistency(state, refresh=False))
         assert worst <= 1e-8
@@ -274,7 +274,7 @@ class TestRunChain:
         counts: Counter = Counter()
         burnin, keep = 5000, 50000
         for s in range(burnin + keep):
-            gibbs_sweep(state, data, hyper, streams)
+            gibbs_sweep(state, streams)
             if s >= burnin:
                 counts[(tuple(state.gamma_list), tuple(state.parents))] += 1
         tv = 0.0
@@ -324,7 +324,7 @@ class TestRunChain:
         var_counts = np.zeros(data.p)
         edge_counts = np.zeros((data.p, data.p))
         for _ in range(control.iters):
-            gibbs_sweep(state, data, hyper, streams)
+            gibbs_sweep(state, streams)
             if state.iteration > burnin:
                 var_counts += state.gamma_arr
                 for c, pa in enumerate(state.parents):
@@ -344,6 +344,25 @@ class TestRunChain:
             data, Hyperparameters(), ChainControl(iters=200, burnin=50, seed=6, init="corr")
         )
         assert np.isfinite(summary.final_log_score)
+
+    def test_constant_column(self):
+        # A constant column has a NaN correlation, which the corr start
+        # reads as zero: no warm-start parents in or out.  The chain runs.
+        rng = np.random.default_rng(18)
+        X = rng.standard_normal((40, 5))
+        X[:, 0] += 0.8 * X[:, 1]
+        X[:, 3] += 0.9 * X[:, 2]
+        X[:, 1] += 0.9 * X[:, 2]
+        Y = X[:, 0] - X[:, 3] + rng.standard_normal(40)
+        X[:, 2] = 3.0
+        data = Dataset(X, Y)
+        state = init_state(data, Hyperparameters(), init="corr", corr_threshold=0.2)
+        assert state.parents == [(3,), (3,), (), (), ()]  # (2, 3) for the first two if not constant
+        summary = run_chain(
+            data, Hyperparameters(), ChainControl(iters=300, burnin=100, seed=4, init="corr")
+        )
+        assert np.isfinite(summary.final_log_score)
+        assert np.all((summary.inclusion_probs >= 0) & (summary.inclusion_probs <= 1))
 
     def test_invalid_control(self):
         with pytest.raises(ValueError):
