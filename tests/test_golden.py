@@ -1,17 +1,29 @@
-"""Golden bytes: small fixed-seed Scenario 3 fits reproduce committed outputs.
+"""Golden bytes: fixed-seed fits and exact posterior tables reproduce committed outputs.
 
-Each case simulates one dataset, runs ``fit`` with a trace, and compares
-``summary.json`` byte for byte with ``tests/golden/<case>.json`` and the
-trace file with the SHA-256 digest in ``tests/golden/<case>.trace.sha256``.
-A change that alters either on purpose (a new random-stream layout, say)
-must regenerate these files and say why.
+Each fit case simulates one dataset, runs ``fit`` with a trace, and
+compares ``summary.json`` byte for byte with ``tests/golden/<case>.json``
+and the trace file with the SHA-256 digest in
+``tests/golden/<case>.trace.sha256``.
+
+Each enumeration case builds a p=6 posterior table and compares the
+``repr`` of its log normalizer, argmax score, argmax pair, gamma log
+marginals and variable marginals with ``tests/golden/enum_p6.json``;
+p=4 tables are pinned by the SHA-256 of their ``to_csv`` text in
+``tests/golden/enum_p4_csv.json``.
+
+A change that alters any of these on purpose (a new random-stream
+layout, say) must regenerate the files and say why.
 """
 
 import hashlib
+import io
+import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from jointdag import Dataset, Hyperparameters, enumerate_posterior
 from jointdag.cli import main, parse_config, run
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -50,3 +62,62 @@ def test_fit_matches_golden(sim, tmp_path, name):
     summary, digest = fit_case(sim, tmp_path, name)
     assert summary == (GOLDEN / f"{name}.json").read_bytes()
     assert digest == (GOLDEN / f"{name}.trace.sha256").read_text().strip()
+
+
+ENUM_HYPER = {
+    "defaults": {},
+    "b0": {"b": 0.0},
+    "sigma2_R3": {"sigma2": 1.5, "R": 3},
+    "b1_R4": {"b": 1.0, "R": 4},
+}
+ENUM_NS = (50, 200, 800)
+
+
+def enum_data(p: int, k: int) -> Dataset:
+    """Fixed-seed dataset k: two correlated covariate pairs, two active."""
+    rng = np.random.default_rng([p, k])
+    n = ENUM_NS[k % len(ENUM_NS)]
+    X = rng.standard_normal((n, p))
+    X[:, 0] += 0.8 * X[:, 1]
+    X[:, 2] += 0.55 * X[:, p - 2]
+    beta = np.zeros(p)
+    beta[:2] = (1.2, -0.75)
+    return Dataset(X, X @ beta + rng.standard_normal(n))
+
+
+def enum_cases(p: int) -> dict[str, tuple[Dataset, Hyperparameters]]:
+    return {
+        f"data{k}_{name}": (enum_data(p, k), Hyperparameters(**kw))
+        for k in range(len(ENUM_NS))
+        for name, kw in ENUM_HYPER.items()
+    }
+
+
+def enum_figures(data: Dataset, hyper: Hyperparameters) -> dict:
+    """The reprs of a p=6 table's key figures."""
+    t = enumerate_posterior(data, hyper)
+    return {
+        "log_normalizer": repr(t.log_normalizer),
+        "argmax_log_score": repr(t.argmax_log_score),
+        "argmax_gamma": repr(tuple(int(v) for v in t.argmax_gamma)),
+        "argmax_dag": repr(t.argmax_dag.parents),
+        "gamma_log_marginals": [repr(float(v)) for v in t.gamma_log_marginals()],
+        "variable_marginals": [repr(float(v)) for v in t.variable_marginals()],
+    }
+
+
+def csv_digest(data: Dataset, hyper: Hyperparameters) -> str:
+    fh = io.StringIO()
+    enumerate_posterior(data, hyper).to_csv(fh)
+    return hashlib.sha256(fh.getvalue().encode()).hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(enum_cases(6)))
+def test_enum_p6_matches_golden(name):
+    golden = json.loads((GOLDEN / "enum_p6.json").read_text())
+    assert enum_figures(*enum_cases(6)[name]) == golden[name]
+
+
+def test_enum_p4_csv_matches_golden():
+    golden = json.loads((GOLDEN / "enum_p4_csv.json").read_text())
+    assert {name: csv_digest(*case) for name, case in enum_cases(4).items()} == golden
