@@ -52,11 +52,6 @@ class DagWishartParams:
         return self.U.shape[0]
 
 
-def shape_from_offset(dag: Dag, offset: float) -> np.ndarray:
-    """Shape vector alpha_i = nu_i + offset for a given graph."""
-    return np.array(dag.nu(), dtype=float) + float(offset)
-
-
 def _logdet_pd(block: np.ndarray) -> float:
     """Log determinant of a small positive definite block via Cholesky."""
     try:

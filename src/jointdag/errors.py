@@ -22,11 +22,11 @@ class DimensionError(ValueError):
 
 
 class EnumerationLimitError(ValueError):
-    """Exhaustive enumeration requested above the configured size limit."""
+    """Exhaustive enumeration requested above ``scoring.ENUMERATION_LIMIT``."""
 
 
 class RankDeficientError(ValueError):
-    """A least-squares Gram matrix is singular."""
+    """A least-squares Gram matrix is singular to working precision."""
 
 
 class UndefinedAUCError(ValueError):

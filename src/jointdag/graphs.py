@@ -161,8 +161,3 @@ def dag_from_edge_csv(text: str, p: int) -> Dag:
         except ValueError as exc:
             raise ValueError(f"bad edge line {lineno}: {line!r}") from exc
     return Dag.from_edges(p, edges)
-
-
-def adjacency_to_csv(G: np.ndarray) -> str:
-    """Dense 0/1 CSV rows of an adjacency matrix."""
-    return "\n".join(",".join(str(int(v)) for v in row) for row in G) + "\n"

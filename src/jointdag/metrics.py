@@ -81,7 +81,13 @@ def auc(inclusion_probs: np.ndarray, truth: np.ndarray) -> float:
 
 
 def ls_refit(data: Dataset, gamma: np.ndarray) -> np.ndarray:
-    """Least-squares coefficients on the selected columns."""
+    """Least-squares coefficients on the selected columns.
+
+    Raises RankDeficientError when the selected Gram matrix is singular
+    to working precision: a Cholesky pivot L_ii**2 at most 1e-12 of the
+    diagonal entry it came from means column i is, up to rounding, a
+    combination of the columns before it.
+    """
     g = np.asarray(gamma)
     if g.shape[0] != data.p:
         raise DimensionError(f"gamma length {g.shape[0]} does not match p={data.p}")
@@ -93,6 +99,8 @@ def ls_refit(data: Dataset, gamma: np.ndarray) -> np.ndarray:
         chol = cho_factor(gram, lower=True)
     except np.linalg.LinAlgError as exc:
         raise RankDeficientError("selected Gram matrix is singular") from exc
+    if np.any(np.diag(chol[0]) ** 2 <= 1e-12 * np.diag(gram)):
+        raise RankDeficientError("selected Gram matrix is singular to working precision")
     return cho_solve(chol, data.xty[idx])
 
 

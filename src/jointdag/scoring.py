@@ -67,11 +67,6 @@ class ScoreEngine:
         self.log_1mq = math.log1p(-hyper.q)
         self._marginal_memo: dict[tuple[int, ...], float] = {}
 
-    def col_log_prior(self, c: int, nu: int) -> float:
-        """Edge-prior contribution of column c with nu parents (no bound check)."""
-        k = self.p - 1 - c
-        return nu * self.log_q + (k - nu) * self.log_1mq
-
     def marginal(self, active: tuple[int, ...]) -> float:
         """Integrated response likelihood for the given active index tuple."""
         val = self._marginal_memo.get(active)
@@ -164,10 +159,10 @@ class PosteriorTable:
 
     The domain is every inclusion vector below the complexity bound
     crossed with every DAG whose largest column stays below the bound.
-    Internally the table stores per-column score pieces (the DAG part of
-    the score factors over columns given gamma), so normalizer, argmax,
-    and point probabilities avoid materializing the full product space.
-    ``entries()`` iterates the full domain on demand.
+    Given gamma the DAG part of the score factors over columns, so the
+    table stores one (gamma x parent set) score matrix per column; the
+    normalizer, argmax and point probabilities never materialize the
+    full product space.  ``entries()`` iterates the full domain on demand.
     """
 
     def __init__(self, data: Dataset, hyper: Hyperparameters, engine: ScoreEngine):
@@ -175,66 +170,44 @@ class PosteriorTable:
         R = engine.R
         self.p = p
         self.R = R
-        self.hyper = hyper
-        self._b = hyper.b
 
-        # Per-column admissible parent sets (lexicographic) and their
-        # gamma-independent score terms.
-        self.col_subsets: list[list[tuple[int, ...]]] = []
-        self._col_terms: list[np.ndarray] = []
-        self._col_index: list[dict[tuple[int, ...], int]] = []
-        for c in range(p):
-            subs = _lex_subsets(range(c + 1, p), R)
-            terms = np.array(
-                [engine.col_log_prior(c, len(s)) + engine.zcache.delta(c, s) for s in subs]
-            )
-            self.col_subsets.append(subs)
-            self._col_terms.append(terms)
-            self._col_index.append({s: k for k, s in enumerate(subs)})
-
-        # Admissible inclusion vectors in lexicographic order.
+        # Admissible inclusion vectors in lexicographic order; the rows of gam.
         self.gammas: list[tuple[int, ...]] = [
             g for g in itertools.product((0, 1), repeat=p) if sum(g) < R
         ]
         self._gamma_index = {g: k for k, g in enumerate(self.gammas)}
-
-        lse_totals = np.empty(len(self.gammas))
-        best_score = -math.inf
-        best = None
-        self._gamma_base = np.empty(len(self.gammas))
-        for k, g in enumerate(self.gammas):
-            active = tuple(j for j in range(p) if g[j])
-            base = -hyper.a * len(active) + engine.marginal(active)
-            self._gamma_base[k] = base
-            lse = base
-            mx = base
-            mx_cols = []
-            for c in range(p):
-                vals = self._coupled_terms(c, g)
-                lse += logsumexp(vals)
-                kbest = int(np.argmax(vals))  # first maximum: lexicographically smallest
-                mx += vals[kbest]
-                mx_cols.append(self.col_subsets[c][kbest])
-            lse_totals[k] = lse
-            if mx > best_score:
-                best_score = mx
-                best = (g, tuple(mx_cols))
-        self._gamma_lse = lse_totals
-        self.log_normalizer = float(logsumexp(lse_totals))
-        assert best is not None
-        self.argmax_gamma = np.array(best[0], dtype=np.int8)
-        self.argmax_dag = Dag(p, best[1])
-        self.argmax_log_score = float(best_score)
-
-    def _coupled_terms(self, c: int, g: tuple[int, ...]) -> np.ndarray:
-        """Column score terms including the graph-coupling bonus for gamma."""
-        terms = self._col_terms[c]
-        if self._b == 0.0 or not g[c]:
-            return terms
-        bonus = np.array(
-            [2.0 * self._b * sum(g[j] for j in s) for s in self.col_subsets[c]]
+        self._gam = gam = np.array(self.gammas, dtype=float)
+        self._gamma_base = np.array(
+            [-hyper.a * sum(g) + engine.marginal(tuple(j for j in range(p) if g[j]))
+             for g in self.gammas]
         )
-        return terms + bonus
+
+        # Per column: admissible parent sets (lexicographic, rows of member)
+        # and the score of each (gamma, parent set) pair: edge prior plus
+        # normalizer delta, plus the coupling bonus 2b * |gamma on the
+        # parent set| when column c itself is active.
+        self.col_subsets = [_lex_subsets(range(c + 1, p), R) for c in range(p)]
+        self._col_index = [{s: k for k, s in enumerate(subs)} for subs in self.col_subsets]
+        self._col_scores: list[np.ndarray] = []
+        lse = self._gamma_base.copy()
+        mx = self._gamma_base.copy()
+        best_cols = []
+        for c, subs in enumerate(self.col_subsets):
+            member = np.array([[j in s for j in range(p)] for s in subs], dtype=float)
+            nu = member.sum(axis=1)
+            delta = np.array([engine.zcache.delta(c, s) for s in subs])
+            terms = nu * engine.log_q + (p - 1 - c - nu) * engine.log_1mq + delta
+            vals = terms + (2.0 * hyper.b) * (gam[:, [c]] * (gam @ member.T))
+            lse += logsumexp(vals, axis=1)
+            mx += vals.max(axis=1)
+            best_cols.append(vals.argmax(axis=1))  # first maximum: lexicographically smallest
+            self._col_scores.append(vals)
+        self._gamma_lse = lse
+        self.log_normalizer = float(logsumexp(lse))
+        k = int(np.argmax(mx))  # first maximum, as for the parent sets
+        self.argmax_gamma = np.array(self.gammas[k], dtype=np.int8)
+        self.argmax_dag = Dag(p, tuple(subs[b[k]] for subs, b in zip(self.col_subsets, best_cols)))
+        self.argmax_log_score = float(mx[k])
 
     # -- queries ---------------------------------------------------------
 
@@ -248,7 +221,7 @@ class PosteriorTable:
             idx = self._col_index[c].get(dag.parents[c])
             if idx is None:
                 return -math.inf
-            total += self._coupled_terms(c, g)[idx]
+            total += self._col_scores[c][k, idx]
         return float(total)
 
     def log_prob(self, gamma, dag: Dag) -> float:
@@ -264,12 +237,7 @@ class PosteriorTable:
     def variable_marginals(self) -> np.ndarray:
         """Posterior inclusion probability of each variable."""
         w = np.exp(self.gamma_log_marginals())
-        out = np.zeros(self.p)
-        for g, wk in zip(self.gammas, w):
-            for j in range(self.p):
-                if g[j]:
-                    out[j] += wk
-        return out
+        return (w[:, None] * self._gam).sum(axis=0)
 
     @property
     def n_pairs(self) -> int:
@@ -280,10 +248,9 @@ class PosteriorTable:
 
     def entries(self):
         """Yield (gamma array, Dag, log_score, probability) over the domain."""
-        for g in self.gammas:
-            k = self._gamma_index[g]
+        for k, g in enumerate(self.gammas):
             base = self._gamma_base[k]
-            cols = [self._coupled_terms(c, g) for c in range(self.p)]
+            cols = [v[k] for v in self._col_scores]
             for combo in itertools.product(*(range(len(s)) for s in self.col_subsets)):
                 score = base + sum(cols[c][i] for c, i in enumerate(combo))
                 dag = Dag(self.p, tuple(self.col_subsets[c][i] for c, i in enumerate(combo)))
@@ -303,13 +270,14 @@ class PosteriorTable:
             fh.write(f"{bits},{edges},{score!r},{prob!r}\n")
 
 
-def enumerate_posterior(
-    data: Dataset, hyper: Hyperparameters, limit: int = 6
-) -> PosteriorTable:
-    """Exhaustively normalized posterior table; refuses p above ``limit``."""
-    if data.p > limit:
+ENUMERATION_LIMIT = 6
+
+
+def enumerate_posterior(data: Dataset, hyper: Hyperparameters) -> PosteriorTable:
+    """Exhaustively normalized posterior table; refuses p above ENUMERATION_LIMIT."""
+    if data.p > ENUMERATION_LIMIT:
         raise EnumerationLimitError(
-            f"enumeration over p={data.p} exceeds the limit of {limit}"
+            f"enumeration over p={data.p} exceeds the limit of {ENUMERATION_LIMIT}"
         )
     engine = ScoreEngine(data, hyper)
     return PosteriorTable(data, hyper, engine)

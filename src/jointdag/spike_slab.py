@@ -58,8 +58,8 @@ class Hyperparameters:
             raise ValueError(f"b (graph coupling) must be nonnegative, got {self.b}")
         if not 0.0 < self.q < 1.0:
             raise ValueError(f"q (edge probability) must lie in (0, 1), got {self.q}")
-        if self.R is not None and (int(self.R) != self.R or self.R < 0):
-            raise ValueError(f"R (complexity bound) must be a nonnegative integer, got {self.R}")
+        if self.R is not None and (int(self.R) != self.R or self.R < 1):
+            raise ValueError(f"R (complexity bound) must be a positive integer, got {self.R}")
         if self.alpha_offset <= 2:
             raise ValueError(f"alpha_offset must exceed 2, got {self.alpha_offset}")
         if self.U is not None:

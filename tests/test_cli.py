@@ -55,6 +55,7 @@ class TestParseConfig:
             ("b0", -1.0),
             ("alpha_offset", 2.0),
             ("R", -1),
+            ("R", 0),
             ("iters", 100),
         ],
     )

@@ -6,7 +6,7 @@ import pytest
 
 from jointdag import Dag, adjacency, column_flip, log_prior_dag
 from jointdag.errors import InvalidMoveError
-from jointdag.graphs import adjacency_to_csv, dag_from_edge_csv, dag_to_edge_csv
+from jointdag.graphs import dag_from_edge_csv, dag_to_edge_csv
 
 from oracles import random_dag
 
@@ -122,7 +122,3 @@ class TestSerialization:
 
     def test_empty_roundtrip(self):
         assert dag_from_edge_csv(dag_to_edge_csv(Dag.empty(3)), 3) == Dag.empty(3)
-
-    def test_adjacency_csv(self):
-        text = adjacency_to_csv(adjacency(Dag(2, ((1,), ()))))
-        assert text == "0,1\n1,0\n"

@@ -137,6 +137,26 @@ class TestLsRefit:
         with pytest.raises(RankDeficientError):
             ls_refit(data, np.ones(2))
 
+    def test_duplicate_column_pairs(self):
+        # The p=6, n=60 design of test_cli's sim fixture: whichever column
+        # k is copied into column j, selecting both must be refused, even
+        # where the Cholesky factorization meets only a rounding-level pivot.
+        rng = np.random.default_rng(0)
+        n, p = 60, 6
+        X = rng.standard_normal((n, p))
+        X[:, 0] += 0.8 * X[:, 1]
+        Y = X @ np.array([1.4, -1.1, 0.9, 0, 0, 0]) + rng.standard_normal(n)
+        for k in range(p):
+            for j in range(p):
+                if j == k:
+                    continue
+                Xd = X.copy()
+                Xd[:, j] = X[:, k]
+                gamma = np.zeros(p, dtype=int)
+                gamma[[j, k]] = 1
+                with pytest.raises(RankDeficientError):
+                    ls_refit(Dataset(Xd, Y), gamma)
+
 
 class TestMspe:
     def test_exact_fit_noiseless(self):

@@ -106,6 +106,13 @@ class TestCheckConditionA:
             check_condition_A(np.zeros(2), np.zeros((3, 3)))
 
 
+def wide_hyper(f):
+    """Parametrize over b in {0, 0.5, 1}, sigma2 in {None, 1.5}, R in {None, 2, 3}."""
+    for name, values in (("R", [None, 2, 3]), ("sigma2", [None, 1.5]), ("b", [0.0, 0.5, 1.0])):
+        f = pytest.mark.parametrize(name, values, ids=[f"{name}={v}" for v in values])(f)
+    return f
+
+
 class TestEnumeratePosterior:
     def test_p1_domain(self):
         rng = np.random.default_rng(5)
@@ -134,10 +141,11 @@ class TestEnumeratePosterior:
         total = sum(prob for _, _, _, prob in table.entries())
         assert total == pytest.approx(1.0, abs=1e-12)
 
-    def test_argmax_matches_brute_force(self):
+    @wide_hyper
+    def test_argmax_matches_brute_force(self, b, sigma2, R):
         rng = np.random.default_rng(9)
         data = toy_data(rng, 30, 4)
-        h = Hyperparameters(sigma2=1.0)
+        h = Hyperparameters(b=b, sigma2=sigma2, R=R)
         table = enumerate_posterior(data, h)
         engine = ScoreEngine(data, h)
         best = (-math.inf, None)
@@ -152,10 +160,11 @@ class TestEnumeratePosterior:
         assert table.argmax_dag == best[1][1]
         assert table.argmax_log_score == pytest.approx(best[0], abs=1e-9)
 
-    def test_point_probability_consistency(self):
+    @wide_hyper
+    def test_point_probability_consistency(self, b, sigma2, R):
         rng = np.random.default_rng(10)
         data = toy_data(rng, 18, 4)
-        h = Hyperparameters()
+        h = Hyperparameters(b=b, sigma2=sigma2, R=R)
         table = enumerate_posterior(data, h)
         engine = ScoreEngine(data, h)
         for gamma, dag, log_score, prob in itertools.islice(table.entries(), 0, 300, 17):

@@ -50,6 +50,13 @@ class TestHyperparameters:
         with pytest.raises(ValueError):
             Hyperparameters(**kwargs)
 
+    def test_zero_bound_rejected_at_construction(self):
+        # R = 0 would give every state, the empty model included, zero
+        # prior mass; the error must name R first for the CLI's key lookup.
+        with pytest.raises(ValueError, match=r"^R \(complexity bound\) must be a positive integer"):
+            Hyperparameters(R=0)
+        assert Hyperparameters(R=1).effective_R(5) == 1
+
     def test_accepts_pd_scale(self):
         U = np.array([[2.0, 0.5], [0.5, 1.0]])
         assert Hyperparameters(U=U).U is U
