@@ -19,7 +19,7 @@ from jointdag import (
     propose_gamma,
     run_chain,
 )
-from jointdag.errors import InitializationError
+from jointdag.errors import InitializationError, InternalConsistencyError
 from jointdag.sampler import (
     ChainStreams,
     check_state_consistency,
@@ -250,6 +250,39 @@ class TestGibbsSweep:
             assert min(1.0, math.exp(d)) == pytest.approx(
                 min(1.0, math.exp(d + lqr - lqf))
             )
+
+
+class TestCheckStateConsistency:
+    # Cached part -> the matching component of a from-scratch score.
+    PARTS = {
+        "mrf_log": "log_gamma_prior",
+        "dag_prior_log": "log_dag_prior",
+        "dlz_total": "delta_log_z",
+        "marginal_log": "log_marginal",
+    }
+
+    def _state(self):
+        rng = np.random.default_rng(19)
+        data = chain_data(rng, n=30, p=5)
+        gamma = np.array([1, 1, 0, 1, 0], dtype=np.int8)
+        dag = Dag.from_edges(5, [(0, 1), (1, 3), (2, 4)])
+        return init_state(data, Hyperparameters(b=0.5), init=(gamma, dag))
+
+    @pytest.mark.parametrize("part", list(PARTS))
+    def test_drift_beyond_tol_raises(self, part):
+        state = self._state()
+        setattr(state, part, getattr(state, part) + 1e-3)
+        with pytest.raises(InternalConsistencyError):
+            check_state_consistency(state)
+
+    @pytest.mark.parametrize("part", list(PARTS))
+    def test_refresh_restores_part(self, part):
+        state = self._state()
+        engine = state.engine
+        fresh = log_joint_score(state.gamma_arr, state.dag(), engine.data, engine.hyper, engine)
+        setattr(state, part, getattr(state, part) + 1e-9)
+        assert check_state_consistency(state, refresh=True) == pytest.approx(1e-9, abs=1e-12)
+        assert abs(getattr(state, part) - getattr(fresh, self.PARTS[part])) <= 1e-12
 
 
 class TestRunChain:
