@@ -28,7 +28,7 @@ from .sampler import (
 )
 from .scoring import JointScore, ScoreEngine, check_condition_A, enumerate_posterior, log_joint_score
 from .simdata import Dataset, GroundTruth, gen_scenario1, gen_scenario2, gen_scenario3
-from .spike_slab import Hyperparameters, log_marginal_likelihood, log_mrf_prior, submatrix
+from .spike_slab import Hyperparameters, log_mrf_prior
 
 __all__ = [
     "CholeskyParam",
@@ -55,7 +55,6 @@ __all__ = [
     "init_state",
     "log_density",
     "log_joint_score",
-    "log_marginal_likelihood",
     "log_mrf_prior",
     "log_prior_dag",
     "log_z",
@@ -71,5 +70,4 @@ __all__ = [
     "run_chain",
     "selection_metrics",
     "sparsity_dag",
-    "submatrix",
 ]

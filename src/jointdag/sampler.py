@@ -22,12 +22,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionError, InitializationError, InternalConsistencyError
-from .graphs import Dag, adjacency, column_flip, log_prior_dag
-from .scoring import ScoreEngine
+from .graphs import Dag, adjacency, column_flip
+from .scoring import ScoreEngine, log_joint_score
 from .simdata import Dataset
-from .spike_slab import Hyperparameters, log_marginal_likelihood, log_mrf_prior
+from .spike_slab import Hyperparameters
 
 _LOG_HALF = math.log(0.5)
+SPOT_CHECK_EVERY = 1000  # sweeps between check_state_consistency calls
 
 
 class _Stream:
@@ -204,10 +205,11 @@ class ChainState:
         self.G = adjacency(dag).astype(np.intp)
         self.n_edges = dag.n_edges
         self.col_dlz = [engine.zcache.delta(c, pa) for c, pa in enumerate(self.parents)]
-        self.dlz_total = sum(self.col_dlz)
-        self.mrf_log = log_mrf_prior(self.gamma_arr, self.G, hyper)
-        self.dag_prior_log = log_prior_dag(dag, hyper.q, self.R)
-        self.marginal_log = engine.marginal(tuple(self.active))
+        score = log_joint_score(self.gamma_arr, dag, engine.data, hyper, engine)
+        self.mrf_log = score.log_gamma_prior
+        self.dag_prior_log = score.log_dag_prior
+        self.dlz_total = score.delta_log_z
+        self.marginal_log = score.log_marginal
         self.iteration = 0
         self.gamma_accepts = 0
         self.gamma_proposals = 0
@@ -384,36 +386,30 @@ def gibbs_sweep(state: ChainState, streams: ChainStreams) -> tuple[bool, int]:
 
 
 def check_state_consistency(state: ChainState, tol: float = 1e-6, refresh: bool = True) -> float:
-    """Compare cached score parts against a from-scratch evaluation.
+    """Compare cached score parts against ``log_joint_score``.
 
-    Raises InternalConsistencyError beyond ``tol`` (a delta-update bug);
-    otherwise optionally refreshes the caches to stop float drift and
-    returns the largest absolute difference seen.
+    The fresh score reads the same normalizer and likelihood memos as the
+    chain, so this checks the incremental bookkeeping, not the memoized
+    values.  Raises InternalConsistencyError beyond ``tol`` (a
+    delta-update bug); otherwise optionally refreshes the caches to stop
+    float drift and returns the largest absolute difference seen.
     """
     engine = state.engine
-    hyper = engine.hyper
-    data = engine.data
-    dag = state.dag()
-    fresh_mrf = log_mrf_prior(state.gamma_arr, adjacency(dag), hyper)
-    fresh_dp = log_prior_dag(dag, hyper.q, state.R)
-    fresh_dlz = sum(engine.zcache.delta(c, pa) for c, pa in enumerate(state.parents))
-    idx = np.flatnonzero(state.gamma_arr)
-    fresh_marg = log_marginal_likelihood(data.Y, data.X[:, idx], hyper)
-    worst = max(
-        abs(fresh_mrf - state.mrf_log),
-        abs(fresh_dp - state.dag_prior_log),
-        abs(fresh_dlz - state.dlz_total),
-        abs(fresh_marg - state.marginal_log),
+    fresh = log_joint_score(state.gamma_arr, state.dag(), engine.data, engine.hyper, engine)
+    parts = (
+        ("mrf_log", fresh.log_gamma_prior),
+        ("dag_prior_log", fresh.log_dag_prior),
+        ("dlz_total", fresh.delta_log_z),
+        ("marginal_log", fresh.log_marginal),
     )
+    worst = max(abs(value - getattr(state, name)) for name, value in parts)
     if worst > tol:
         raise InternalConsistencyError(
             f"cached score components diverged by {worst:.3e} at sweep {state.iteration}"
         )
     if refresh:
-        state.mrf_log = fresh_mrf
-        state.dag_prior_log = fresh_dp
-        state.dlz_total = fresh_dlz
-        state.marginal_log = fresh_marg
+        for name, value in parts:
+            setattr(state, name, value)
     return worst
 
 
@@ -429,8 +425,6 @@ class ChainControl:
     burnin: int = 5000
     seed: int = 0
     init: object = "empty"  # "empty" | "corr" | (gamma, dag)
-    corr_threshold: float = 0.25
-    spot_check_every: int = 1000
     trace: object = None  # path for line-delimited sweep records
 
     def __post_init__(self):
@@ -469,9 +463,7 @@ def run_chain(data: Dataset, hyper: Hyperparameters, control: ChainControl) -> C
     chain.  Output is deterministic in (data, hyper, control).
     """
     engine = ScoreEngine(data, hyper)
-    state = init_state(
-        data, hyper, init=control.init, corr_threshold=control.corr_threshold, engine=engine
-    )
+    state = init_state(data, hyper, init=control.init, engine=engine)
     streams = ChainStreams(control.seed, data.p)
     var_cum = np.zeros(data.p, dtype=np.intp)
     edge_cum = np.zeros((data.p, data.p), dtype=np.intp)
@@ -497,7 +489,7 @@ def run_chain(data: Dataset, hyper: Hyperparameters, control: ChainControl) -> C
                     )
                     + "\n"
                 )
-            if control.spot_check_every and s % control.spot_check_every == 0:
+            if s % SPOT_CHECK_EVERY == 0:
                 check_state_consistency(state)
     finally:
         if trace_fh is not None:

@@ -49,6 +49,8 @@ class Dataset:
         Y = np.asarray(self.Y, dtype=float)
         if X.ndim != 2:
             raise ValueError("X must be a 2-d array")
+        if X.shape[1] == 0:
+            raise DataError("X has no columns")
         if Y.ndim != 1 or Y.shape[0] != X.shape[0]:
             raise ValueError("Y must be a vector with one entry per row of X")
         if not (np.all(np.isfinite(X)) and np.all(np.isfinite(Y))):
@@ -208,8 +210,6 @@ def gen_scenario1(setting: int, seed: int, n: int = 100, n_test: int = 100):
     for h, ch in hub_children:
         # conditional child mean is +x_hub, hence -1 entries in the factor
         L[h, ch] = -1.0
-    chol0 = CholeskyParam(L=L, dvec=dvec.copy())
-    dag0 = Dag(p, tuple(_hub_parent(j, hub_children) for j in range(p)))
 
     divisor = np.sqrt(10.0) if setting in (1, 2) else 10.0
     beta0 = np.zeros(p)
@@ -223,18 +223,24 @@ def gen_scenario1(setting: int, seed: int, n: int = 100, n_test: int = 100):
             beta0[h - 1] = -beta0[h - 1]
             beta0[h - 2] = -beta0[h - 2]
     sigma_eps2 = float(beta0 @ beta0) / 4.0
-    gamma0 = (beta0 != 0).astype(np.int8)
+    return _hub_replicate(rng, seed, n, n_test, dvec, L, hub_children, beta0, sigma_eps2)
 
+
+def _hub_replicate(rng, seed, n, n_test, dvec, L, hub_children, beta0, sigma_eps2):
+    """Ground truth, train set and test set of a hub design, drawing the
+    two designs and responses from ``rng`` after the coefficients."""
+    p = dvec.shape[0]
+    dag0 = Dag(p, tuple(_hub_parent(j, hub_children) for j in range(p)))
+    gamma0 = (beta0 != 0).astype(np.int8)
     X = _sample_hub_design(rng, n, dvec, L, hub_children)
     Y = X @ beta0 + rng.standard_normal(n) * np.sqrt(sigma_eps2)
     X_test = _sample_hub_design(rng, n_test, dvec, L, hub_children)
     Y_test = X_test @ beta0 + rng.standard_normal(n_test) * np.sqrt(sigma_eps2)
-
     truth = GroundTruth(
         beta0=beta0,
         gamma0=gamma0,
         dag0=dag0,
-        chol0=chol0,
+        chol0=CholeskyParam(L=L, dvec=dvec.copy()),
         Sigma0=_sigma_from_chol(L, dvec),
         sigma_eps2=sigma_eps2,
         seed=int(seed),
@@ -270,8 +276,6 @@ def gen_scenario2(setting: int, seed: int, n: int = 100, n_test: int = 100):
     L = np.eye(p)
     for h, ch in hub_children:
         L[h, ch] = rng.uniform(0.3, 0.7, size=ch.shape[0])
-    chol0 = CholeskyParam(L=L, dvec=dvec.copy())
-    dag0 = Dag(p, tuple(_hub_parent(j, hub_children) for j in range(p)))
 
     n_active = 20
     lo = 0.5 if setting in (1, 2) else 0.2
@@ -280,24 +284,7 @@ def gen_scenario2(setting: int, seed: int, n: int = 100, n_test: int = 100):
     if setting in (2, 4):
         beta0[:n_active] *= rng.choice([-1.0, 1.0], size=n_active)
     sigma_eps2 = float(beta0 @ beta0)
-    gamma0 = (beta0 != 0).astype(np.int8)
-
-    X = _sample_hub_design(rng, n, dvec, L, hub_children)
-    Y = X @ beta0 + rng.standard_normal(n) * np.sqrt(sigma_eps2)
-    X_test = _sample_hub_design(rng, n_test, dvec, L, hub_children)
-    Y_test = X_test @ beta0 + rng.standard_normal(n_test) * np.sqrt(sigma_eps2)
-
-    truth = GroundTruth(
-        beta0=beta0,
-        gamma0=gamma0,
-        dag0=dag0,
-        chol0=chol0,
-        Sigma0=_sigma_from_chol(L, dvec),
-        sigma_eps2=sigma_eps2,
-        seed=int(seed),
-        condition_a=_active_network_closed(gamma0, dag0),
-    )
-    return truth, Dataset(X, Y), Dataset(X_test, Y_test)
+    return _hub_replicate(rng, seed, n, n_test, dvec, L, hub_children, beta0, sigma_eps2)
 
 
 def gen_scenario3(setting: int, seed: int, n: int = 100, n_test: int = 100):

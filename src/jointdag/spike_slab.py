@@ -17,7 +17,6 @@ import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
 from .cholesky import spd_cholesky
-from .errors import DataError
 
 
 @dataclass(frozen=True)
@@ -95,43 +94,16 @@ def log_mrf_prior(gamma: np.ndarray, G: np.ndarray, hyper: Hyperparameters) -> f
     return -hyper.a * size + hyper.b * float(g @ G @ g)
 
 
-def submatrix(X: np.ndarray, gamma: np.ndarray) -> np.ndarray:
-    """Columns of X selected by gamma, in their original order."""
-    X = np.asarray(X)
-    g = np.asarray(gamma)
-    if g.shape[0] != X.shape[1]:
-        raise ValueError("gamma length must match the number of columns of X")
-    return X[:, np.flatnonzero(g)]
-
-
-def log_marginal_likelihood(Y: np.ndarray, Xg: np.ndarray, hyper: Hyperparameters) -> float:
-    """Log likelihood of Y with the selected coefficients integrated out.
-
-    Constants that do not depend on the selected model are dropped.  The
-    determinant and quadratic form go through the k-dimensional route
-    (k = number of selected columns):
-
-        det(I_n + tau2 Xg Xg') = det(I_k + tau2 Xg' Xg)
-        Y' (I_n + tau2 Xg Xg')^-1 Y
-            = Y'Y - tau2 * (Xg'Y)' (I_k + tau2 Xg' Xg)^-1 (Xg'Y)
-    """
-    Y = np.asarray(Y, dtype=float)
-    Xg = np.asarray(Xg, dtype=float)
-    if Y.ndim != 1:
-        raise ValueError("Y must be a vector")
-    if Xg.ndim != 2 or Xg.shape[0] != Y.shape[0]:
-        raise ValueError("Xg must be n x k with n matching Y")
-    if not np.all(np.isfinite(Y)) or not np.all(np.isfinite(Xg)):
-        raise DataError("Y and Xg must be finite")
-    gram = Xg.T @ Xg
-    xty = Xg.T @ Y
-    yty = float(Y @ Y)
-    return _log_marginal_from_stats(gram, xty, yty, Y.shape[0], hyper)
-
-
 def _log_marginal_from_stats(
     gram: np.ndarray, xty: np.ndarray, yty: float, n: int, hyper: Hyperparameters
 ) -> float:
+    """Log likelihood of Y with the selected coefficients integrated out,
+    from the Gram statistics Xg'Xg, Xg'Y and Y'Y of the k selected
+    columns.  Model-independent constants are dropped; the n-dimensional
+    determinant and quadratic form are taken in k dimensions through
+    det(I_n + tau2 Xg Xg') = det(I_k + tau2 Xg'Xg) and the Woodbury
+    identity.
+    """
     k = gram.shape[0]
     if k == 0:
         logdet = 0.0

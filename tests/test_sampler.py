@@ -350,9 +350,9 @@ class TestRunChain:
         rng = np.random.default_rng(17)
         data = chain_data(rng, n=30, p=5)
         hyper = Hyperparameters(b=0.5, R=3)
-        control = ChainControl(iters=240, burnin=burnin, seed=9, init="corr", spot_check_every=0)
+        control = ChainControl(iters=240, burnin=burnin, seed=9, init="corr")
         summary = run_chain(data, hyper, control)
-        state = init_state(data, hyper, init="corr", corr_threshold=control.corr_threshold)
+        state = init_state(data, hyper, init="corr")
         streams = ChainStreams(control.seed, data.p)
         var_counts = np.zeros(data.p)
         edge_counts = np.zeros((data.p, data.p))

@@ -27,6 +27,14 @@ class TestDataset:
     def test_rejects_nonfinite(self):
         with pytest.raises(DataError):
             Dataset(np.array([[np.nan]]), np.array([1.0]))
+        with pytest.raises(DataError):
+            Dataset(np.zeros((2, 1)), np.array([1.0, np.nan]))
+        with pytest.raises(DataError):
+            Dataset(np.array([[np.inf], [0.0]]), np.ones(2))
+
+    def test_rejects_zero_columns(self):
+        with pytest.raises(DataError, match="X has no columns"):
+            Dataset(np.zeros((5, 0)), np.ones(5))
 
     def test_dimension_check(self):
         with pytest.raises(ValueError):
