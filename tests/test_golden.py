@@ -11,6 +11,11 @@ marginals and variable marginals with ``tests/golden/enum_p6.json``;
 p=4 tables are pinned by the SHA-256 of their ``to_csv`` text in
 ``tests/golden/enum_p4_csv.json``.
 
+The replicate case runs a two-replicate Scenario 3 ``replicate``, which
+fits b = 0.5 and b = 0 on each replicate's data, and compares the
+SHA-256 of ``replicates.csv`` and ``table.csv`` with
+``tests/golden/replicate_s3.json``.
+
 A change that alters any of these on purpose (a new random-stream
 layout, say) must regenerate the files and say why.
 """
@@ -121,3 +126,15 @@ def test_enum_p6_matches_golden(name):
 def test_enum_p4_csv_matches_golden():
     golden = json.loads((GOLDEN / "enum_p4_csv.json").read_text())
     assert {name: csv_digest(*case) for name, case in enum_cases(4).items()} == golden
+
+
+def test_replicate_matches_golden(tmp_path):
+    argv = ["replicate", "--scenario", "3", "--setting", "1", "--reps", "2", "--seed", "3",
+            "--iters", "400", "--burnin", "100", "--b", "0.5", "--init", "corr",
+            "--workers", "1", "--out", str(tmp_path)]
+    assert main(argv) == 0
+    digests = {
+        name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+        for name in ("replicates.csv", "table.csv")
+    }
+    assert digests == json.loads((GOLDEN / "replicate_s3.json").read_text())
