@@ -27,6 +27,7 @@ from .errors import ConfigError, DataError, DimensionError, RankDeficientError, 
 from .graphs import dag_to_edge_csv
 from .metrics import evaluate_selection
 from .sampler import ChainControl, ChainSummary, median_probability_model, run_chain
+from .scoring import ScoreEngine
 from .simdata import Dataset, GroundTruth, generate, save_matrix_csv
 from .spike_slab import Hyperparameters
 
@@ -266,14 +267,17 @@ def _run_simulate(cfg: RunConfig, out: Path) -> None:
     (out / "truth.json").write_text(truth.to_json() + "\n")
 
 
-def _run_fit(cfg: RunConfig, out: Path) -> None:
+def _run_fit(cfg: RunConfig, out: Path) -> dict:
     data = Dataset.from_csv(cfg.x, cfg.y)
     trace_path = str(out / cfg.trace) if cfg.trace else None
-    summary = run_chain(data, cfg.hyper(), cfg.control(trace=trace_path))
+    hyper = cfg.hyper()
+    engine = ScoreEngine(data, hyper)
+    summary = run_chain(data, hyper, cfg.control(trace=trace_path), engine)
     gamma_sel, dag_sel = median_probability_model(summary)
     (out / "summary.json").write_text(summary_to_json(summary, gamma_sel, dag_sel))
     (out / "selected_gamma.txt").write_text("".join(str(int(v)) for v in gamma_sel) + "\n")
     (out / "selected_edges.csv").write_text(dag_to_edge_csv(dag_sel))
+    return {"memo_entries": engine.memo_entries()}
 
 
 def _run_evaluate(cfg: RunConfig, out: Path) -> None:
@@ -302,11 +306,16 @@ def _method_label(b: float) -> str:
 
 
 def _replicate_task(payload: dict) -> dict:
-    """One replicate: simulate, fit every method, evaluate. Pure in its payload."""
+    """One replicate: simulate, fit every method, evaluate. Pure in its payload.
+
+    The methods differ only in b, so their chains share one ScoreEngine:
+    a later chain reuses the memo entries an earlier one filled.
+    """
     cfg = RunConfig(**payload["config"])
     r = payload["rep"]
     data_seed, chain_seed = _rep_seeds(cfg.seed, r)
     truth, train, test = generate(cfg.scenario, cfg.setting, data_seed, n=cfg.n, n_test=cfg.n_test)
+    engine = ScoreEngine(train, cfg.hyper())
     results = {}
     for b in payload["b_values"]:
         control = ChainControl(
@@ -315,7 +324,7 @@ def _replicate_task(payload: dict) -> dict:
             seed=chain_seed,
             init=cfg.init,
         )
-        summary = run_chain(train, cfg.hyper(b=b), control)
+        summary = run_chain(train, cfg.hyper(b=b), control, engine)
         gamma_sel, _ = median_probability_model(summary)
         results[_method_label(b)] = evaluate_selection(
             gamma_sel, truth.gamma0, train, test, inclusion_probs=summary.inclusion_probs
@@ -379,8 +388,8 @@ def run(config: RunConfig) -> int:
         "evaluate": _run_evaluate,
         "replicate": _run_replicate,
     }
-    dispatch[config.mode](config, out)
-    _write_manifest(out, config, runtime_s=time.perf_counter() - start)
+    extra = dispatch[config.mode](config, out)
+    _write_manifest(out, config, runtime_s=time.perf_counter() - start, extra=extra)
     return 0
 
 

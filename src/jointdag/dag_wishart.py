@@ -133,9 +133,12 @@ class ColumnZDeltaCache:
 
     ``delta(i, parents)`` returns the i-th factor of
     log z(U_post, n + alpha) - log z(U, alpha) under the shape rule
-    alpha_i = nu_i + offset.  Results are cached by (vertex, parent set);
-    only vertices whose parent set changes need recomputation, so one
-    single-edge proposal costs two small determinants at most.
+    alpha_i = nu_i + offset.  Results are cached by (vertex, parent set),
+    so only a column whose parent set changes needs a new value.  A miss
+    factors two blocks of ``U_post`` and two of ``U``.  When ``U`` is the
+    identity every prior-side log determinant is exactly 0.0, so the
+    prior factor depends on the parent count alone; it is then memoized
+    by that count and a miss factors only the two posterior blocks.
     """
 
     def __init__(self, U: np.ndarray, U_post: np.ndarray, n: int, offset: float):
@@ -146,14 +149,29 @@ class ColumnZDeltaCache:
         self.n = int(n)
         self.offset = float(offset)
         self._memo: dict[tuple[int, tuple[int, ...]], float] = {}
+        identity = np.array_equal(self.U, np.eye(self.U.shape[0]))
+        self._prior_by_nu: dict[int, float] | None = {} if identity else None
+
+    def __len__(self) -> int:
+        """Number of memoized (vertex, parent set) values."""
+        return len(self._memo)
+
+    def _log_z_prior(self, i: int, parents: tuple[int, ...], a_prior: float) -> float:
+        by_nu = self._prior_by_nu
+        if by_nu is None:
+            return _log_z_column_raw(self.U, i, parents, a_prior)
+        val = by_nu.get(len(parents))
+        if val is None:
+            val = by_nu[len(parents)] = _log_z_column_raw(self.U, i, parents, a_prior)
+        return val
 
     def delta(self, i: int, parents: tuple[int, ...]) -> float:
         key = (i, parents)
         val = self._memo.get(key)
         if val is None:
             a_prior = len(parents) + self.offset
-            val = _log_z_column_raw(self.U_post, i, parents, self.n + a_prior) - _log_z_column_raw(
-                self.U, i, parents, a_prior
+            val = _log_z_column_raw(self.U_post, i, parents, self.n + a_prior) - self._log_z_prior(
+                i, parents, a_prior
             )
             self._memo[key] = val
         return val

@@ -158,12 +158,16 @@ def propose_dag_column(dag: Dag, i: int, rng):
 class ChainState:
     """Mutable sampler state with incrementally maintained score parts.
 
-    The cached components always match a fresh scoring call up to float
-    drift; ``check_state_consistency`` verifies and refreshes them.
+    ``engine`` holds the memos, which may be shared with other chains on
+    the same data; ``hyper`` is this chain's own prior (``a``, ``b``,
+    ``q``, ``R``).  The cached components always match a fresh scoring
+    call up to float drift; ``check_state_consistency`` verifies and
+    refreshes them.
     """
 
     __slots__ = (
         "engine",
+        "hyper",
         "p",
         "R",
         "a_pen",
@@ -187,15 +191,21 @@ class ChainState:
         "col_proposals",
     )
 
-    def __init__(self, engine: ScoreEngine, gamma: np.ndarray, parents: list[tuple[int, ...]]):
-        hyper = engine.hyper
+    def __init__(
+        self,
+        engine: ScoreEngine,
+        hyper: Hyperparameters,
+        gamma: np.ndarray,
+        parents: list[tuple[int, ...]],
+    ):
         p = engine.p
         self.engine = engine
+        self.hyper = hyper
         self.p = p
-        self.R = engine.R
+        self.R = hyper.effective_R(p)
         self.a_pen = hyper.a
         self.b2 = 2.0 * hyper.b
-        self.dprior_add = engine.log_q - engine.log_1mq
+        self.dprior_add = math.log(hyper.q) - math.log1p(-hyper.q)
         self.gamma_arr = np.asarray(gamma, dtype=np.int8).copy()
         self.gamma_list = [int(v) for v in self.gamma_arr]
         self.active = [int(j) for j in np.flatnonzero(self.gamma_arr)]
@@ -232,9 +242,15 @@ def init_state(
     engine: ScoreEngine | None = None,
 ) -> ChainState:
     """Build the starting state: empty model, a marginal-correlation
-    warm start for the DAG, or an explicit (gamma, dag) pair."""
+    warm start for the DAG, or an explicit (gamma, dag) pair.
+
+    A given ``engine`` must have been built for this ``data`` object and
+    the same memo inputs (see ``ScoreEngine``), else ValueError.
+    """
     if engine is None:
         engine = ScoreEngine(data, hyper)
+    else:
+        engine.check_serves(data, hyper)
     p = data.p
     if isinstance(init, tuple):
         gamma0, dag0 = init
@@ -247,10 +263,10 @@ def init_state(
         parents = [() for _ in range(p)]
     elif init == "corr":
         gamma = np.zeros(p, dtype=np.int8)
-        parents = _corr_init(data, corr_threshold, engine.R)
+        parents = _corr_init(data, corr_threshold, hyper.effective_R(p))
     else:
         raise ValueError(f"unknown init mode {init!r}")
-    state = ChainState(engine, gamma, parents)
+    state = ChainState(engine, hyper, gamma, parents)
     if not np.isfinite(state.log_score):
         raise InitializationError(
             f"initial state has non-finite score {state.log_score}"
@@ -395,7 +411,7 @@ def check_state_consistency(state: ChainState, tol: float = 1e-6, refresh: bool 
     float drift and returns the largest absolute difference seen.
     """
     engine = state.engine
-    fresh = log_joint_score(state.gamma_arr, state.dag(), engine.data, engine.hyper, engine)
+    fresh = log_joint_score(state.gamma_arr, state.dag(), engine.data, state.hyper, engine)
     parts = (
         ("mrf_log", fresh.log_gamma_prior),
         ("dag_prior_log", fresh.log_dag_prior),
@@ -453,7 +469,12 @@ class ChainSummary:
         return self.inclusion_probs.shape[0]
 
 
-def run_chain(data: Dataset, hyper: Hyperparameters, control: ChainControl) -> ChainSummary:
+def run_chain(
+    data: Dataset,
+    hyper: Hyperparameters,
+    control: ChainControl,
+    engine: ScoreEngine | None = None,
+) -> ChainSummary:
     """Run one chain and average inclusion indicators over kept sweeps.
 
     Snapshot t is the state after sweep t; it is kept when
@@ -461,8 +482,11 @@ def run_chain(data: Dataset, hyper: Hyperparameters, control: ChainControl) -> C
     kept snapshots as exact integer counts; the state's adjacency and the
     edge sums are dense p x p integer arrays, 2 * p**2 * 8 bytes per
     chain.  Output is deterministic in (data, hyper, control).
+
+    ``engine`` lends the chain memos that other chains on the same
+    ``data`` object filled (``init_state`` checks that it fits); it
+    changes no output, only how many memo misses the chain makes.
     """
-    engine = ScoreEngine(data, hyper)
     state = init_state(data, hyper, init=control.init, engine=engine)
     streams = ChainStreams(control.seed, data.p)
     var_cum = np.zeros(data.p, dtype=np.intp)

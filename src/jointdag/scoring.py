@@ -45,27 +45,46 @@ class JointScore:
 
 
 class ScoreEngine:
-    """Per-dataset caches for repeated scoring of (gamma, DAG) pairs.
+    """Per-dataset memos for repeated scoring of (gamma, DAG) pairs.
 
-    Holds the prior and posterior scale matrices, the memoized per-column
-    normalizer deltas, and a memo of integrated likelihood values keyed
-    by the selected index tuple.  All methods are pure given the dataset.
+    Holds the memoized per-column normalizer deltas and a memo of
+    integrated likelihood values keyed by the selected index tuple,
+    together with the only inputs they depend on: the dataset, the scale
+    matrix U and ``alpha_offset`` for the normalizer, and ``tau2``,
+    ``sigma2``, ``a0`` and ``b0`` for the likelihood.  Neither memo
+    depends on ``a``, ``b``, ``q`` or ``R``, which every caller takes
+    from its own Hyperparameters, so chains that differ only in those
+    share one engine (both chains of a ``replicate`` do).
     """
 
     def __init__(self, data: Dataset, hyper: Hyperparameters):
         p = data.p
-        U = hyper.U if hyper.U is not None else np.eye(p)
-        U = np.asarray(U, dtype=float)
-        if U.shape != (p, p):
-            raise DimensionError(f"scale matrix shape {U.shape} does not match p={p}")
         self.data = data
-        self.hyper = hyper
         self.p = p
-        self.R = hyper.effective_R(p)
-        self.zcache = ColumnZDeltaCache(U, U + data.gram, data.n, hyper.alpha_offset)
-        self.log_q = math.log(hyper.q)
-        self.log_1mq = math.log1p(-hyper.q)
+        self.U = self._scale(hyper)
+        if self.U.shape != (p, p):
+            raise DimensionError(f"scale matrix shape {self.U.shape} does not match p={p}")
+        self.memo_inputs = _memo_inputs(hyper)
+        self.zcache = ColumnZDeltaCache(self.U, self.U + data.gram, data.n, hyper.alpha_offset)
         self._marginal_memo: dict[tuple[int, ...], float] = {}
+
+    def _scale(self, hyper: Hyperparameters) -> np.ndarray:
+        return np.asarray(hyper.U if hyper.U is not None else np.eye(self.p), dtype=float)
+
+    def check_serves(self, data: Dataset, hyper: Hyperparameters) -> None:
+        """Raise ValueError unless this engine's memos hold for (data, hyper)."""
+        if data is not self.data:
+            raise ValueError("score engine was built for another Dataset object")
+        same_U = np.array_equal(self._scale(hyper), self.U)
+        if _memo_inputs(hyper) != self.memo_inputs or not same_U:
+            raise ValueError(
+                "score engine was built for other memo inputs "
+                "(tau2, sigma2, a0, b0, alpha_offset, U)"
+            )
+
+    def memo_entries(self) -> dict[str, int]:
+        """Sizes of the normalizer and likelihood memos."""
+        return {"normalizer": len(self.zcache), "marginal": len(self._marginal_memo)}
 
     def marginal(self, active: tuple[int, ...]) -> float:
         """Integrated response likelihood for the given active index tuple."""
@@ -79,9 +98,15 @@ class ScoreEngine:
             else:
                 gram = np.zeros((0, 0))
                 xty = np.zeros(0)
-            val = _log_marginal_from_stats(gram, xty, data.yty, data.n, self.hyper)
+            tau2, sigma2, a0, b0, _ = self.memo_inputs
+            val = _log_marginal_from_stats(gram, xty, data.yty, data.n, tau2, sigma2, a0, b0)
             self._marginal_memo[active] = val
         return val
+
+
+def _memo_inputs(hyper: Hyperparameters) -> tuple:
+    """The scalar hyperparameters the engine's memos depend on (U aside)."""
+    return (hyper.tau2, hyper.sigma2, hyper.a0, hyper.b0, hyper.alpha_offset)
 
 
 def _annotated(component: str, exc: Exception) -> Exception:
@@ -109,12 +134,14 @@ def log_joint_score(
         raise DimensionError(f"dag has {dag.p} vertices but data has p={data.p}")
     if engine is None:
         engine = ScoreEngine(data, hyper)
+    else:
+        engine.check_serves(data, hyper)
     try:
         lgp = log_mrf_prior(g, adjacency(dag), hyper)
     except Exception as exc:  # pragma: no cover - annotation plumbing
         raise _annotated("log_gamma_prior", exc)
     try:
-        ldp = log_prior_dag(dag, hyper.q, engine.R)
+        ldp = log_prior_dag(dag, hyper.q, hyper.effective_R(data.p))
     except Exception as exc:  # pragma: no cover
         raise _annotated("log_dag_prior", exc)
     try:
@@ -166,8 +193,10 @@ class PosteriorTable:
     """
 
     def __init__(self, data: Dataset, hyper: Hyperparameters, engine: ScoreEngine):
+        engine.check_serves(data, hyper)
         p = data.p
-        R = engine.R
+        R = hyper.effective_R(p)
+        log_q, log_1mq = math.log(hyper.q), math.log1p(-hyper.q)
         self.p = p
         self.R = R
 
@@ -196,7 +225,7 @@ class PosteriorTable:
             member = np.array([[j in s for j in range(p)] for s in subs], dtype=float)
             nu = member.sum(axis=1)
             delta = np.array([engine.zcache.delta(c, s) for s in subs])
-            terms = nu * engine.log_q + (p - 1 - c - nu) * engine.log_1mq + delta
+            terms = nu * log_q + (p - 1 - c - nu) * log_1mq + delta
             vals = terms + (2.0 * hyper.b) * (gam[:, [c]] * (gam @ member.T))
             lse += logsumexp(vals, axis=1)
             mx += vals.max(axis=1)

@@ -95,11 +95,19 @@ def log_mrf_prior(gamma: np.ndarray, G: np.ndarray, hyper: Hyperparameters) -> f
 
 
 def _log_marginal_from_stats(
-    gram: np.ndarray, xty: np.ndarray, yty: float, n: int, hyper: Hyperparameters
+    gram: np.ndarray,
+    xty: np.ndarray,
+    yty: float,
+    n: int,
+    tau2: float,
+    sigma2: float | None,
+    a0: float,
+    b0: float,
 ) -> float:
     """Log likelihood of Y with the selected coefficients integrated out,
     from the Gram statistics Xg'Xg, Xg'Y and Y'Y of the k selected
-    columns.  Model-independent constants are dropped; the n-dimensional
+    columns; ``sigma2 = None`` is the unknown-variance model.
+    Model-independent constants are dropped; the n-dimensional
     determinant and quadratic form are taken in k dimensions through
     det(I_n + tau2 Xg Xg') = det(I_k + tau2 Xg'Xg) and the Woodbury
     identity.
@@ -109,10 +117,10 @@ def _log_marginal_from_stats(
         logdet = 0.0
         quad = yty
     else:
-        M = hyper.tau2 * gram + np.eye(k)
+        M = tau2 * gram + np.eye(k)
         chol = cho_factor(M, lower=True)
         logdet = 2.0 * float(np.sum(np.log(np.diag(chol[0]))))
-        quad = yty - hyper.tau2 * float(xty @ cho_solve(chol, xty))
-    if hyper.known_variance:
-        return -0.5 * logdet - quad / (2.0 * hyper.sigma2)
-    return -0.5 * logdet - 0.5 * (n + 2.0 * hyper.a0) * math.log(hyper.b0 + 0.5 * quad)
+        quad = yty - tau2 * float(xty @ cho_solve(chol, xty))
+    if sigma2 is not None:
+        return -0.5 * logdet - quad / (2.0 * sigma2)
+    return -0.5 * logdet - 0.5 * (n + 2.0 * a0) * math.log(b0 + 0.5 * quad)

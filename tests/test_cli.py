@@ -162,6 +162,14 @@ class TestFitEvaluate:
             blobs.append((out / "summary.json").read_bytes())
         assert blobs[0] == blobs[1]
 
+    def test_fit_manifest_reports_memo_entries(self, sim, tmp_path):
+        out = tmp_path / "memo"
+        self._fit(sim, out, iters=200, burnin=50)
+        entries = json.loads((out / "manifest.json").read_text())["memo_entries"]
+        assert set(entries) == {"normalizer", "marginal"}
+        assert all(isinstance(v, int) and v > 0 for v in entries.values())
+        assert "memo_entries" not in (out / "summary.json").read_text()
+
     def test_fit_trace(self, sim, tmp_path):
         out = tmp_path / "tr"
         self._fit(sim, out, trace="trace.jsonl", iters=100, burnin=10)
@@ -336,6 +344,23 @@ class TestReplicate:
         assert main(argv + ["--iters", "30", "--burnin", "10", "--out", str(tmp_path / "o")]) == 0
         assert len(traces) == 4
         assert all(len(t.read_text().splitlines()) == 30 for t in traces)
+
+    def test_replicate_chains_share_one_engine(self, tmp_path, monkeypatch):
+        from jointdag import cli
+
+        engines = []
+        run_chain = cli.run_chain
+
+        def recording(data, hyper, control, engine=None):
+            engines.append(engine)
+            return run_chain(data, hyper, control, engine)
+
+        monkeypatch.setattr(cli, "run_chain", recording)
+        argv = ["replicate", "--scenario", "3", "--reps", "2", "--n", "25", "--n-test", "10"]
+        assert main(argv + ["--iters", "30", "--burnin", "10", "--out", str(tmp_path / "o")]) == 0
+        assert len(engines) == 4
+        assert engines[0] is engines[1] and engines[2] is engines[3]
+        assert engines[0] is not engines[2]
 
     def test_baseline_merge(self, tmp_path):
         base = tmp_path / "lasso.txt"

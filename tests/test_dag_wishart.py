@@ -14,7 +14,8 @@ from jointdag import (
     posterior_params,
     reconstruct_precision,
 )
-from jointdag.dag_wishart import ColumnZDeltaCache, DagWishartParams
+from jointdag import dag_wishart
+from jointdag.dag_wishart import ColumnZDeltaCache, DagWishartParams, _log_z_column_raw
 from jointdag.errors import ImproperPriorError
 
 from oracles import dense_log_z, quadrature_normalization, random_cholesky_param, random_dag
@@ -197,3 +198,63 @@ class TestColumnZDeltaCache:
             assert total == pytest.approx(direct, abs=1e-10)
             # second lookup hits the memo and is identical
             assert sum(cache.delta(i, dag.parents[i]) for i in range(p)) == total
+
+    @staticmethod
+    def _keys(rng, p, max_nu, count):
+        """Random (column, parent set) keys; sizes cycle through 0..max_nu."""
+        keys = []
+        for k in range(count):
+            nu = k % (max_nu + 1)
+            i = int(rng.integers(0, p - nu))
+            pa = rng.choice(np.arange(i + 1, p), size=nu, replace=False)
+            keys.append((i, tuple(sorted(int(j) for j in pa))))
+        return keys
+
+    def test_identity_prior_memo_is_exact(self):
+        # With U = I the prior factor is memoized by parent count; every
+        # value must equal the two-sided difference bit for bit.
+        rng = np.random.default_rng(31)
+        p, n, offset, R = 40, 30, 10.0, 8
+        X = rng.standard_normal((n, p))
+        U = np.eye(p)
+        U_post = U + X.T @ X
+        cache = ColumnZDeltaCache(U, U_post, n, offset)
+        keys = self._keys(rng, p, R - 1, 2000)
+        assert {len(pa) for _, pa in keys} == set(range(R))
+        for i, pa in keys:
+            a = len(pa) + offset
+            direct = _log_z_column_raw(U_post, i, pa, n + a) - _log_z_column_raw(U, i, pa, a)
+            assert cache.delta(i, pa) == direct
+
+    def test_diagonal_scale_matches_direct_difference(self):
+        rng = np.random.default_rng(32)
+        p, n, offset = 6, 12, 10.0
+        X = rng.standard_normal((n, p))
+        U = np.diag(np.linspace(0.5, 3.0, p))
+        cache = ColumnZDeltaCache(U, U + X.T @ X, n, offset)
+        for _ in range(20):
+            dag = random_dag(rng, p)
+            alpha = np.array(dag.nu(), dtype=float) + offset
+            direct = log_z(dag, DagWishartParams(U + X.T @ X, alpha + n)) - log_z(
+                dag, DagWishartParams(U, alpha)
+            )
+            total = sum(cache.delta(i, dag.parents[i]) for i in range(p))
+            assert total == pytest.approx(direct, abs=1e-10)
+
+    @pytest.mark.parametrize("scale, per_miss", [("identity", 2), ("diagonal", 4)])
+    def test_factorizations_per_miss(self, monkeypatch, scale, per_miss):
+        rng = np.random.default_rng(33)
+        p, n = 8, 12
+        X = rng.standard_normal((n, p))
+        U = np.eye(p) if scale == "identity" else np.diag(np.linspace(0.5, 3.0, p))
+        cache = ColumnZDeltaCache(U, U + X.T @ X, n, 10.0)
+        cache.delta(0, (1, 2))  # fills the identity prior memo for two parents
+        shapes = []
+        logdet = dag_wishart._logdet_pd
+        monkeypatch.setattr(
+            dag_wishart, "_logdet_pd", lambda block: shapes.append(block.shape) or logdet(block)
+        )
+        cache.delta(3, (4, 6))
+        assert len(shapes) == per_miss
+        cache.delta(3, (4, 6))  # a hit factors nothing
+        assert len(shapes) == per_miss

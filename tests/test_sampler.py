@@ -10,6 +10,7 @@ from jointdag import (
     Dag,
     Dataset,
     Hyperparameters,
+    ScoreEngine,
     enumerate_posterior,
     gibbs_sweep,
     init_state,
@@ -279,10 +280,84 @@ class TestCheckStateConsistency:
     def test_refresh_restores_part(self, part):
         state = self._state()
         engine = state.engine
-        fresh = log_joint_score(state.gamma_arr, state.dag(), engine.data, engine.hyper, engine)
+        fresh = log_joint_score(state.gamma_arr, state.dag(), engine.data, state.hyper, engine)
         setattr(state, part, getattr(state, part) + 1e-9)
         assert check_state_consistency(state, refresh=True) == pytest.approx(1e-9, abs=1e-12)
         assert abs(getattr(state, part) - getattr(fresh, self.PARTS[part])) <= 1e-12
+
+
+class TestSharedEngine:
+    """One ScoreEngine lent to several chains on the same data."""
+
+    CONTROL = {"iters": 600, "burnin": 200, "seed": 4, "init": "corr"}
+
+    @staticmethod
+    def _data():
+        return chain_data(np.random.default_rng(23), n=40, p=8)
+
+    @staticmethod
+    def _assert_same(got: ChainSummary, want: ChainSummary):
+        assert np.array_equal(got.inclusion_probs, want.inclusion_probs)
+        assert np.array_equal(got.edge_probs, want.edge_probs)
+        assert np.array_equal(got.dag_acceptance, want.dag_acceptance, equal_nan=True)
+        assert got.gamma_acceptance == want.gamma_acceptance
+        assert got.final_log_score == want.final_log_score
+
+    @pytest.mark.parametrize(
+        "second",
+        [{"b": 0.0}, {"a": 2.0, "b": 0.25, "q": 0.1, "R": 4}],
+        ids=["b0", "a-b-q-R"],
+    )
+    def test_second_chain_matches_fresh_engine(self, second):
+        data = self._data()
+        hypers = (Hyperparameters(b=0.5), Hyperparameters(**second))
+        shared = ScoreEngine(data, hypers[0])
+        sizes, fresh_sizes = [], []
+        for h in hypers:
+            fresh = ScoreEngine(data, h)
+            self._assert_same(
+                run_chain(data, h, ChainControl(**self.CONTROL), shared),
+                run_chain(data, h, ChainControl(**self.CONTROL), fresh),
+            )
+            sizes.append(len(shared.zcache))
+            fresh_sizes.append(len(fresh.zcache))
+        assert sizes[0] == fresh_sizes[0]
+        assert sizes[1] - sizes[0] < fresh_sizes[1]
+
+    def test_spot_check_uses_the_chains_own_b(self):
+        data = self._data()
+        shared = ScoreEngine(data, Hyperparameters(b=0.5))
+        gamma = np.array([1, 1, 0, 1, 0, 0, 0, 0], dtype=np.int8)
+        dag = Dag.from_edges(8, [(0, 1), (1, 3), (2, 4)])
+        h0 = Hyperparameters(b=0.0)
+        state = init_state(data, h0, init=(gamma, dag), engine=shared)
+        assert state.mrf_log == log_joint_score(gamma, dag, data, h0).log_gamma_prior
+        streams = ChainStreams(5, data.p)
+        for _ in range(50):
+            gibbs_sweep(state, streams)
+            assert check_state_consistency(state, tol=1e-9, refresh=False) <= 1e-9
+
+    @pytest.mark.parametrize(
+        "change",
+        ["data", "tau2", "sigma2", "a0", "b0", "U", "alpha_offset"],
+    )
+    def test_engine_for_other_inputs_refused(self, change):
+        data = self._data()
+        engine = ScoreEngine(data, Hyperparameters())
+        other = {
+            "tau2": 2.0,
+            "sigma2": 1.5,
+            "a0": 0.2,
+            "b0": 0.02,
+            "U": np.diag(np.linspace(1.0, 2.0, data.p)),
+            "alpha_offset": 12.0,
+        }
+        if change == "data":
+            data, hyper = Dataset(data.X.copy(), data.Y.copy()), Hyperparameters()
+        else:
+            hyper = Hyperparameters(**{change: other[change]})
+        with pytest.raises(ValueError, match="score engine was built for"):
+            run_chain(data, hyper, ChainControl(**self.CONTROL), engine)
 
 
 class TestRunChain:
