@@ -14,7 +14,7 @@ __version__ = "0.1.0"
 
 from .cholesky import CholeskyParam, modified_cholesky, reconstruct_precision, sparsity_dag
 from .dag_wishart import DagWishartParams, log_density, log_z, log_z_column, posterior_params
-from .graphs import Dag, adjacency, column_flip, log_prior_dag
+from .graphs import Dag, adjacency, log_prior_dag
 from .metrics import Confusion, auc, confusion, ls_refit, mspe, selection_metrics
 from .sampler import (
     ChainControl,
@@ -22,7 +22,6 @@ from .sampler import (
     gibbs_sweep,
     init_state,
     median_probability_model,
-    propose_dag_column,
     propose_gamma,
     run_chain,
 )
@@ -45,7 +44,6 @@ __all__ = [
     "adjacency",
     "auc",
     "check_condition_A",
-    "column_flip",
     "confusion",
     "enumerate_posterior",
     "gen_scenario1",
@@ -64,7 +62,6 @@ __all__ = [
     "modified_cholesky",
     "mspe",
     "posterior_params",
-    "propose_dag_column",
     "propose_gamma",
     "reconstruct_precision",
     "run_chain",

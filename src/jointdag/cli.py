@@ -138,11 +138,15 @@ def _validate(cfg: RunConfig) -> RunConfig:
         cfg.hyper()
         # Not cfg.control(): the benchmark's traced batch swaps
         # cli.ChainControl to give every chain a trace file.
-        sampler.ChainControl(iters=cfg.iters, burnin=cfg.burnin)
+        sampler.ChainControl(iters=cfg.iters, burnin=cfg.burnin, seed=cfg.seed)
     except ValueError as exc:  # their messages start with the offending key
         fail(str(exc).split()[0], str(exc))
     if cfg.workers < 1:
         fail("workers", "must be at least 1")
+    if cfg.n < 1:
+        fail("n", "must be at least 1")
+    if cfg.n_test < 1:
+        fail("n_test", "must be at least 1")
     if cfg.init not in ("empty", "corr"):
         fail("init", "must be 'empty' or 'corr'")
     for entry in cfg.baseline:

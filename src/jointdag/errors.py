@@ -9,10 +9,6 @@ class ImproperPriorError(ValueError):
     """Shape parameters violate the propriety constraint alpha_i - nu_i > 2."""
 
 
-class InvalidMoveError(ValueError):
-    """A graph move breaks the parent-ordering constraint."""
-
-
 class DataError(ValueError):
     """Input data contain non-finite or malformed entries."""
 

@@ -14,12 +14,11 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .errors import InvalidMoveError
-
 
 def _canon_column(pa) -> tuple[int, ...]:
-    """Sorted tuple of distinct ints; already-canonical tuples pass through
-    unchanged so unmodified columns stay shared between graphs."""
+    """Sorted tuple of distinct ints.  An already-canonical tuple passes
+    through as the same object, so a Dag built from canonical parent sets
+    (the chain's state, the enumerator's subsets) copies no column."""
     t = pa if isinstance(pa, tuple) else tuple(pa)
     ok = all(type(j) is int for j in t)
     if ok:
@@ -119,27 +118,6 @@ def log_prior_dag(dag: Dag, q: float, R: float) -> float:
         k = dag.p - 1 - c  # candidate parents of this column
         total += nu[c] * log_q + (k - nu[c]) * log_1mq
     return total
-
-
-def column_flip(dag: Dag, child: int, candidate: int) -> Dag:
-    """Toggle ``candidate`` in the parent set of ``child``.
-
-    Returns a new Dag sharing every other column.  The move is an
-    involution: applying it twice restores the original graph.
-    """
-    if not 0 <= child < dag.p:
-        raise InvalidMoveError(f"child {child} out of range for p={dag.p}")
-    if candidate <= child or candidate >= dag.p:
-        raise InvalidMoveError(
-            f"candidate parent {candidate} must lie strictly between {child} and {dag.p}"
-        )
-    pa = dag.parents[child]
-    if candidate in pa:
-        new = tuple(j for j in pa if j != candidate)
-    else:
-        new = tuple(sorted(pa + (candidate,)))
-    parents = dag.parents[:child] + (new,) + dag.parents[child + 1 :]
-    return Dag(dag.p, parents)
 
 
 def dag_to_edge_csv(dag: Dag) -> str:

@@ -1,11 +1,15 @@
 """Metropolis-within-Gibbs sampler over (inclusion vector, DAG).
 
 Each sweep makes one add/delete move on the inclusion vector and then
-one add/delete move on every DAG column, in column order; each move
-type is one step function that proposes, decides and commits.  The
-state keeps the parent sets (the normalizer memo keys) beside one dense
-symmetric adjacency matrix, whose rows give the graph neighbours the
-coupling prior needs and whose running sum gives the edge inclusion
+one add/delete move on every DAG column, in column order.  Each move
+type is one propose/delta/commit: a proposal kernel, a delta function
+that returns the log posterior ratio (-inf outside the complexity
+bound) with the increments to commit, and a step function that decides
+and commits them.  The tests drive these same functions.
+
+The state keeps the parent sets (the normalizer memo keys) beside one
+dense symmetric adjacency matrix, whose rows give the graph neighbours
+the coupling prior needs and whose running sum gives the edge inclusion
 probabilities.
 
 Reproducibility: a root seed derives one counter-based stream for the
@@ -22,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionError, InitializationError, InternalConsistencyError
-from .graphs import Dag, adjacency, column_flip
+from .graphs import Dag, adjacency
 from .scoring import ScoreEngine, log_joint_score
 from .simdata import Dataset
 from .spike_slab import Hyperparameters
@@ -70,9 +74,8 @@ def propose_gamma(gamma: np.ndarray, rng):
 
     With probability 1/2 a uniformly chosen active coordinate is cleared,
     otherwise a uniformly chosen inactive coordinate is set; when only
-    one direction exists it is taken with probability 1.  Returns the new
-    vector together with the forward and reverse log kernel
-    probabilities.
+    one direction exists it is taken with probability 1.  Returns (flipped
+    coordinate, is_add, forward log prob, reverse log prob).
     """
     g = np.asarray(gamma)
     p = g.shape[0]
@@ -88,26 +91,23 @@ def propose_gamma(gamma: np.ndarray, rng):
     else:
         do_delete = rng.random() < 0.5
         lqf = _LOG_HALF - math.log(k1 if do_delete else k0)
-    new = g.copy()
     if do_delete:
         k = int(ones[int(rng.random() * k1)])
-        new[k] = 0
         n1 = k1 - 1
         lqr = -math.log(p - n1) if n1 == 0 else _LOG_HALF - math.log(p - n1)
     else:
         zeros = np.flatnonzero(g == 0)
         k = int(zeros[int(rng.random() * k0)])
-        new[k] = 1
         n1 = k1 + 1
         lqr = -math.log(n1) if n1 == p else _LOG_HALF - math.log(n1)
-    return new, float(lqf), float(lqr)
+    return k, not do_delete, float(lqf), float(lqr)
 
 
 def _propose_in_column(parents: tuple[int, ...], c: int, p: int, rng):
     """Add/delete proposal on the parent set of column c.
 
-    Returns (toggled vertex, is_add, new parent count, new parent tuple,
-    forward log prob, reverse log prob).
+    Returns (toggled vertex, is_add, new parent tuple, forward log prob,
+    reverse log prob).
     """
     nu = len(parents)
     K = p - 1 - c
@@ -137,18 +137,7 @@ def _propose_in_column(parents: tuple[int, ...], c: int, p: int, rng):
         nu2 = nu - 1
         new_pa = tuple(x for x in parents if x != j)
         lqr = -math.log(K - nu2) if nu2 == 0 else _LOG_HALF - math.log(K - nu2)
-    return j, is_add, nu2, new_pa, lqf, lqr
-
-
-def propose_dag_column(dag: Dag, i: int, rng):
-    """Column add/delete proposal; the last vertex yields a no-op with a
-    zero kernel ratio."""
-    if not 0 <= i < dag.p:
-        raise ValueError(f"column {i} out of range for p={dag.p}")
-    if i == dag.p - 1:
-        return dag, 0.0, 0.0
-    j, _, _, _, lqf, lqr = _propose_in_column(dag.parents[i], i, dag.p, rng)
-    return column_flip(dag, i, j), lqf, lqr
+    return j, is_add, new_pa, lqf, lqr
 
 
 # ---------------------------------------------------------------------------
@@ -302,7 +291,9 @@ def _corr_init(data: Dataset, threshold: float, R: int) -> list[tuple[int, ...]]
 
 
 def _gamma_flip_parts(state: ChainState, k: int, adding: bool):
-    """Score change from flipping variable k, with the pieces needed to commit."""
+    """Log posterior ratio of flipping variable k (kernel terms excluded),
+    with the new active list, marginal and prior increment to commit;
+    (-inf, None, 0.0, 0.0) when the flip reaches the complexity bound."""
     if adding and len(state.active) + 1 >= state.R:
         return -math.inf, None, 0.0, 0.0
     nbr = int(state.G[k] @ state.gamma_arr)
@@ -315,48 +306,32 @@ def _gamma_flip_parts(state: ChainState, k: int, adding: bool):
     return dmrf + (new_marg - state.marginal_log), new_active, new_marg, dmrf
 
 
-def gamma_flip_log_ratio(state: ChainState, k: int) -> float:
-    """Log posterior ratio of flipping variable k (kernel terms excluded)."""
-    return _gamma_flip_parts(state, k, not state.gamma_list[k])[0]
-
-
-def _dag_delta(state: ChainState, c: int, j: int, is_add: bool, new_pa) -> tuple[float, float]:
+def _dag_delta(state: ChainState, c: int, j: int, is_add: bool, new_pa):
+    """Log posterior ratio of toggling candidate j in column c (kernel terms
+    excluded), with the new normalizer delta, edge-prior increment and
+    coupling increment to commit; (-inf, None, 0.0, 0.0) when the new
+    parent set reaches the complexity bound."""
+    if is_add and len(new_pa) >= state.R:
+        return -math.inf, None, 0.0, 0.0
     dlz_new = state.engine.zcache.delta(c, new_pa)
-    d = dlz_new - state.col_dlz[c]
-    d += state.dprior_add if is_add else -state.dprior_add
+    dprior = state.dprior_add if is_add else -state.dprior_add
+    dmrf = 0.0
     glist = state.gamma_list
     if state.b2 != 0.0 and glist[c] and glist[j]:
-        d += state.b2 if is_add else -state.b2
-    return d, dlz_new
-
-
-def dag_flip_log_ratio(state: ChainState, c: int, j: int) -> float:
-    """Log posterior ratio of toggling candidate j in column c (no kernel terms)."""
-    parents = state.parents[c]
-    if j in parents:
-        new_pa = tuple(x for x in parents if x != j)
-        is_add = False
-    else:
-        if len(parents) + 1 >= state.R:
-            return -math.inf
-        new_pa = tuple(sorted(parents + (j,)))
-        is_add = True
-    return _dag_delta(state, c, j, is_add, new_pa)[0]
+        dmrf = state.b2 if is_add else -state.b2
+    return dlz_new - state.col_dlz[c] + dprior + dmrf, dlz_new, dprior, dmrf
 
 
 def _gamma_step(state: ChainState, stream) -> bool:
     state.gamma_proposals += 1
-    new_g, lqf, lqr = propose_gamma(state.gamma_arr, stream)
-    k = int(np.flatnonzero(new_g != state.gamma_arr)[0])
-    adding = bool(new_g[k])
+    k, adding, lqf, lqr = propose_gamma(state.gamma_arr, stream)
     delta, new_active, new_marg, dmrf = _gamma_flip_parts(state, k, adding)
     if new_active is None:
         return False  # prior bound: zero-probability proposal
     d = delta + (lqr - lqf)
     if d < 0.0 and stream.random() >= math.exp(d):
         return False
-    state.gamma_arr = new_g
-    state.gamma_list[k] = 1 if adding else 0
+    state.gamma_arr[k] = state.gamma_list[k] = 1 if adding else 0
     state.active = new_active
     state.mrf_log += dmrf
     state.marginal_log = new_marg
@@ -366,10 +341,10 @@ def _gamma_step(state: ChainState, stream) -> bool:
 
 def _column_step(state: ChainState, c: int, stream) -> int:
     state.col_proposals[c] += 1
-    j, is_add, nu2, new_pa, lqf, lqr = _propose_in_column(state.parents[c], c, state.p, stream)
-    if is_add and nu2 >= state.R:
+    j, is_add, new_pa, lqf, lqr = _propose_in_column(state.parents[c], c, state.p, stream)
+    d, dlz_new, dprior, dmrf = _dag_delta(state, c, j, is_add, new_pa)
+    if dlz_new is None:
         return 0  # prior bound: zero-probability proposal
-    d, dlz_new = _dag_delta(state, c, j, is_add, new_pa)
     d += lqr - lqf
     if not (d >= 0.0 or stream.random() < math.exp(d)):
         return 0
@@ -377,10 +352,8 @@ def _column_step(state: ChainState, c: int, stream) -> int:
     state.parents[c] = new_pa
     state.dlz_total += dlz_new - state.col_dlz[c]
     state.col_dlz[c] = dlz_new
-    state.dag_prior_log += state.dprior_add if is_add else -state.dprior_add
-    glist = state.gamma_list
-    if state.b2 != 0.0 and glist[c] and glist[j]:
-        state.mrf_log += state.b2 if is_add else -state.b2
+    state.dag_prior_log += dprior
+    state.mrf_log += dmrf
     state.G[c, j] = state.G[j, c] = 1 if is_add else 0
     state.n_edges += 1 if is_add else -1
     return 1
@@ -448,6 +421,8 @@ class ChainControl:
             raise ValueError(
                 f"iters must exceed burnin >= 0, got iters={self.iters}, burnin={self.burnin}"
             )
+        if self.seed < 0:
+            raise ValueError(f"seed must be nonnegative, got {self.seed}")
 
 
 @dataclass

@@ -25,7 +25,7 @@ import numpy as np
 from scipy.linalg import solve_triangular
 
 from .cholesky import CholeskyParam
-from .errors import DataError
+from .errors import DataError, DimensionError
 from .graphs import Dag
 
 
@@ -52,7 +52,9 @@ class Dataset:
         if X.shape[1] == 0:
             raise DataError("X has no columns")
         if Y.ndim != 1 or Y.shape[0] != X.shape[0]:
-            raise ValueError("Y must be a vector with one entry per row of X")
+            raise DimensionError(
+                f"Y must be a vector with one entry per row of X, got shape {Y.shape} for {X.shape[0]} rows"
+            )
         if not (np.all(np.isfinite(X)) and np.all(np.isfinite(Y))):
             raise DataError("X and Y must be finite")
         self.X = X
@@ -71,7 +73,12 @@ class Dataset:
 
     @classmethod
     def from_csv(cls, x_path, y_path) -> "Dataset":
-        return cls(load_matrix_csv(x_path), load_matrix_csv(y_path).ravel())
+        """Read X and a one-column Y file; another column count is a DataError."""
+        X = load_matrix_csv(x_path)
+        Y = load_matrix_csv(y_path)
+        if Y.shape[1] != 1:
+            raise DataError(f"{y_path}: expected one column, got {Y.shape[1]}")
+        return cls(X, Y[:, 0])
 
 
 def load_matrix_csv(path) -> np.ndarray:

@@ -57,6 +57,10 @@ class TestParseConfig:
             ("R", -1),
             ("R", 0),
             ("iters", 100),
+            ("seed", -1),
+            ("n", 0),
+            ("n", -1),
+            ("n_test", 0),
         ],
     )
     def test_constraint_error_names_key(self, key, value):
@@ -419,21 +423,31 @@ class TestMain:
         assert rc == 2
         assert "config key" in capsys.readouterr().err
 
-    def _fit_bad_x(self, tmp_path, x_text):
+    def _fit_csv(self, tmp_path, x_text, y_text="1\n2\n3\n"):
         (tmp_path / "X.csv").write_text(x_text)
-        (tmp_path / "Y.csv").write_text("1\n2\n3\n")
+        (tmp_path / "Y.csv").write_text(y_text)
         argv = ["fit", "--x", str(tmp_path / "X.csv"), "--y", str(tmp_path / "Y.csv")]
         return main(argv + ["--iters", "20", "--burnin", "5", "--out", str(tmp_path / "out")])
 
     def test_cli_ragged_csv_exits_2(self, tmp_path, capsys):
-        assert self._fit_bad_x(tmp_path, "1,2\n3\n5,6\n") == 2
+        assert self._fit_csv(tmp_path, "1,2\n3\n5,6\n") == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "X.csv" in err and "row" in err
 
     def test_cli_nan_csv_exits_2(self, tmp_path, capsys):
-        assert self._fit_bad_x(tmp_path, "1,2\n3,nan\n5,6\n") == 2
+        assert self._fit_csv(tmp_path, "1,2\n3,nan\n5,6\n") == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "X.csv" in err and "row 2" in err
+
+    def test_cli_short_y_exits_2(self, tmp_path, capsys):
+        assert self._fit_csv(tmp_path, "1,2\n3,4\n5,6\n", y_text="1\n2\n") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "one entry per row of X" in err
+
+    def test_cli_two_column_y_exits_2(self, tmp_path, capsys):
+        assert self._fit_csv(tmp_path, "1,2\n3,4\n5,6\n", y_text="1,0\n2,0\n3,0\n") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Y.csv" in err and "one column" in err
 
     def test_byte_identical_reruns(self, tmp_path):
         outs = []

@@ -4,8 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from jointdag import Dag, adjacency, column_flip, log_prior_dag
-from jointdag.errors import InvalidMoveError
+from jointdag import Dag, adjacency, log_prior_dag
 from jointdag.graphs import dag_from_edge_csv, dag_to_edge_csv
 
 from oracles import random_dag
@@ -82,35 +81,6 @@ class TestLogPriorDag:
         q = 0.17
         total = sum(math.exp(log_prior_dag(d, q, p)) for d in all_dags(p))
         assert total == pytest.approx(1.0, abs=1e-12)
-
-
-class TestColumnFlip:
-    def test_add(self):
-        d = column_flip(Dag.empty(2), 0, 1)
-        assert d.parents[0] == (1,)
-
-    def test_involution(self):
-        rng = np.random.default_rng(2)
-        for _ in range(20):
-            d = random_dag(rng, 6)
-            c = int(rng.integers(0, 5))
-            j = int(rng.integers(c + 1, 6))
-            assert column_flip(column_flip(d, c, j), c, j) == d
-
-    def test_changes_one_nu(self):
-        d = random_dag(np.random.default_rng(3), 6)
-        d2 = column_flip(d, 1, 4)
-        diffs = [abs(a - b) for a, b in zip(d.nu(), d2.nu())]
-        assert sum(diffs) == 1
-
-    def test_ordering_violation(self):
-        with pytest.raises(InvalidMoveError):
-            column_flip(Dag.empty(3), 1, 0)
-
-    def test_other_columns_shared(self):
-        d = Dag(4, ((2,), (3,), (), ()))
-        d2 = column_flip(d, 0, 3)
-        assert d2.parents[1] is d.parents[1]
 
 
 class TestSerialization:

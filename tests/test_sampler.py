@@ -16,17 +16,18 @@ from jointdag import (
     init_state,
     log_joint_score,
     median_probability_model,
-    propose_dag_column,
     propose_gamma,
     run_chain,
 )
 from jointdag.errors import InitializationError, InternalConsistencyError
 from jointdag.sampler import (
     ChainStreams,
+    _dag_delta,
+    _gamma_flip_parts,
+    _propose_in_column,
     check_state_consistency,
-    dag_flip_log_ratio,
-    gamma_flip_log_ratio,
 )
+from jointdag.scoring import PosteriorTable
 
 from oracles import random_dag
 
@@ -49,34 +50,60 @@ def chain_data(rng, n=40, p=4):
     return Dataset(X, Y)
 
 
+def _force_gamma_move(gamma, k):
+    """Drive propose_gamma so that it flips exactly coordinate k."""
+    p = len(gamma)
+    deleting = bool(gamma[k])
+    pool = [i for i in range(p) if bool(gamma[i]) == deleting]
+    draws = [0.25 if deleting else 0.75] if 0 < sum(gamma) < p else []
+    draws.append((pool.index(k) + 0.5) / len(pool))
+    rng = FakeRng(draws)
+    move = propose_gamma(gamma, rng)
+    assert move[:2] == (k, not deleting) and rng.values == []
+    return move
+
+
+def _force_column_move(parents, c, j, p):
+    """Drive the column kernel so that it toggles exactly candidate j."""
+    nu = len(parents)
+    K = p - 1 - c
+    deleting = j in parents
+    draws = [0.25 if deleting else 0.75] if 0 < nu < K else []
+    draws.append((parents.index(j) + 0.5) / nu if deleting else (j - c - 1 + 0.5) / K)
+    rng = FakeRng(draws)
+    move = _propose_in_column(parents, c, p, rng)
+    assert move[:2] == (j, not deleting) and move[2] != parents and rng.values == []
+    return move
+
+
 class TestProposeGamma:
     def test_exact_kernel_probs(self):
         g = np.array([1, 0, 0], dtype=np.int8)
         # forced path values: move type then coordinate
-        new, lqf, lqr = propose_gamma(g, FakeRng([0.3, 0.5]))  # delete the only 1
-        assert new.tolist() == [0, 0, 0]
+        k, adding, lqf, lqr = propose_gamma(g, FakeRng([0.3, 0.5]))  # delete the only 1
+        assert (k, adding) == (0, False)
         assert lqf == pytest.approx(math.log(0.5))
         assert lqr == pytest.approx(math.log(1 / 3))  # back from empty: forced add
-        new, lqf, lqr = propose_gamma(g, FakeRng([0.7, 0.1]))  # add first zero
-        assert new.tolist() == [1, 1, 0]
+        k, adding, lqf, lqr = propose_gamma(g, FakeRng([0.7, 0.1]))  # add first zero
+        assert (k, adding) == (1, True)
         assert lqf == pytest.approx(math.log(0.25))
 
     def test_degenerate_all_zero(self):
         g = np.zeros(3, dtype=np.int8)
-        new, lqf, _ = propose_gamma(g, FakeRng([0.9]))
-        assert new.sum() == 1
+        k, adding, lqf, _ = propose_gamma(g, FakeRng([0.9]))
+        assert (k, adding) == (2, True)
         assert lqf == pytest.approx(math.log(1 / 3))
 
     def test_degenerate_all_one(self):
         g = np.ones(3, dtype=np.int8)
-        new, lqf, lqr = propose_gamma(g, FakeRng([0.0]))
-        assert new.sum() == 2
+        k, adding, lqf, lqr = propose_gamma(g, FakeRng([0.0]))
+        assert (k, adding) == (0, False)
         assert lqf == pytest.approx(math.log(1 / 3))
         assert lqr == pytest.approx(math.log(0.5 / 1))
 
     def test_p1_roundtrip(self):
-        new, lqf, lqr = propose_gamma(np.zeros(1, dtype=np.int8), FakeRng([0.2]))
-        assert new.tolist() == [1] and lqf == 0.0 and lqr == 0.0
+        move = propose_gamma(np.zeros(1, dtype=np.int8), FakeRng([0.2]))
+        assert move == (0, True, 0.0, 0.0)
 
     def test_empirical_frequencies(self):
         rng = np.random.default_rng(0)
@@ -84,34 +111,39 @@ class TestProposeGamma:
         counts = Counter()
         n = 100000
         for _ in range(n):
-            new, _, _ = propose_gamma(g, rng)
-            counts[tuple(new.tolist())] += 1
-        for outcome, prob in {(0, 0, 0): 0.5, (1, 1, 0): 0.25, (1, 0, 1): 0.25}.items():
+            k, adding, _, _ = propose_gamma(g, rng)
+            counts[(k, adding)] += 1
+        for outcome, prob in {(0, False): 0.5, (1, True): 0.25, (2, True): 0.25}.items():
             sd = math.sqrt(n * prob * (1 - prob))
             assert abs(counts[outcome] - n * prob) < 3 * sd
 
 
 class TestProposeDagColumn:
     def test_forced_add(self):
-        dag = Dag.empty(3)
         counts = Counter()
         rng = np.random.default_rng(1)
         for _ in range(4000):
-            new, lqf, _ = propose_dag_column(dag, 0, rng)
-            counts[new.parents[0]] += 1
+            _, is_add, new_pa, lqf, _ = _propose_in_column((), 0, 3, rng)
+            counts[new_pa] += 1
+            assert is_add
             assert lqf == pytest.approx(math.log(0.5))  # forced add among {1, 2}
         assert abs(counts[(1,)] - 2000) < 3 * math.sqrt(4000 * 0.25)
 
     def test_forced_delete(self):
-        dag = Dag(3, ((1, 2), (), ()))
-        new, lqf, _ = propose_dag_column(dag, 0, FakeRng([0.0]))
-        assert len(new.parents[0]) == 1
+        _, is_add, new_pa, lqf, _ = _propose_in_column((1, 2), 0, 3, FakeRng([0.0]))
+        assert not is_add and len(new_pa) == 1
         assert lqf == pytest.approx(math.log(0.5))
 
     def test_last_column_noop(self):
-        dag = Dag.empty(3)
-        new, lqf, lqr = propose_dag_column(dag, 2, FakeRng([]))
-        assert new == dag and lqf == 0.0 and lqr == 0.0
+        # The last vertex can have no parents, so a sweep makes no move
+        # there and never draws from its stream.
+        data = chain_data(np.random.default_rng(12), n=25, p=3)
+        state = init_state(data, Hyperparameters(), init="corr")
+        streams = ChainStreams(3, 3)
+        streams.columns[2] = FakeRng([])  # any draw raises IndexError
+        for _ in range(200):
+            gibbs_sweep(state, streams)
+        assert state.parents[2] == () and len(state.col_proposals) == 2
 
     def test_reversibility_exhaustive_p4(self):
         # For every column state and every toggle, the forward log kernel
@@ -124,31 +156,12 @@ class TestProposeDagColumn:
             cands = list(range(c + 1, p))
             for r in range(len(cands) + 1):
                 for S in itertools.combinations(cands, r):
-                    dag = Dag(p, tuple(S if i == c else () for i in range(p)))
                     for j in cands:
-                        fwd = _force_column_move(dag, c, j, p)
-                        back = _force_column_move(fwd[0], c, j, p)
-                        assert back[0] == dag
-                        assert fwd[1] == back[2]  # q(S'|S) both ways
-                        assert fwd[2] == back[1]
-
-
-def _force_column_move(dag, c, j, p):
-    """Drive propose_dag_column so that it toggles exactly candidate j."""
-    parents = dag.parents[c]
-    nu = len(parents)
-    K = p - 1 - c
-    values = []
-    deleting = j in parents
-    if 0 < nu < K:
-        values.append(0.25 if deleting else 0.75)
-    if deleting:
-        values.append((parents.index(j) + 0.5) / nu)
-    else:
-        values.append((j - c - 1 + 0.5) / K)
-    new, lqf, lqr = propose_dag_column(dag, c, FakeRng(values))
-    assert new.parents[c] != parents
-    return new, lqf, lqr
+                        fwd = _force_column_move(S, c, j, p)
+                        back = _force_column_move(fwd[2], c, j, p)
+                        assert back[2] == S
+                        assert fwd[3] == back[4]  # q(S'|S) both ways
+                        assert fwd[4] == back[3]
 
 
 class TestFlipRatios:
@@ -167,7 +180,7 @@ class TestFlipRatios:
                 g2 = gamma.copy()
                 g2[k] ^= 1
                 full = log_joint_score(g2, dag, data, hyper, state.engine).log_score - base
-                inc = gamma_flip_log_ratio(state, k)
+                inc = _gamma_flip_parts(state, k, bool(g2[k]))[0]
                 if math.isinf(inc):
                     assert full == -math.inf or g2.sum() >= state.R
                 else:
@@ -184,13 +197,10 @@ class TestFlipRatios:
             base = log_joint_score(gamma, dag, data, hyper, state.engine).log_score
             for c in range(3):
                 for j in range(c + 1, 4):
-                    from jointdag import column_flip
-
-                    full = (
-                        log_joint_score(gamma, column_flip(dag, c, j), data, hyper, state.engine).log_score
-                        - base
-                    )
-                    assert dag_flip_log_ratio(state, c, j) == pytest.approx(full, abs=1e-10)
+                    _, is_add, new_pa, _, _ = _force_column_move(dag.parents[c], c, j, 4)
+                    flipped = Dag(4, dag.parents[:c] + (new_pa,) + dag.parents[c + 1 :])
+                    full = log_joint_score(gamma, flipped, data, hyper, state.engine).log_score - base
+                    assert _dag_delta(state, c, j, is_add, new_pa)[0] == pytest.approx(full, abs=1e-10)
 
     def test_acceptance_ratio_against_two_full_scores(self):
         rng = np.random.default_rng(4)
@@ -199,34 +209,15 @@ class TestFlipRatios:
         gamma = np.array([1, 0, 0, 0], dtype=np.int8)
         dag = Dag.empty(4)
         state = init_state(data, hyper, init=(gamma, dag))
-        new_g, lqf, lqr = propose_gamma(gamma, FakeRng([0.7, 0.1]))
-        k = int(np.flatnonzero(new_g != gamma)[0])
+        k, adding, lqf, lqr = propose_gamma(gamma, FakeRng([0.7, 0.1]))
+        new_g = gamma.copy()
+        new_g[k] = adding
         s_old = log_joint_score(gamma, dag, data, hyper, state.engine).log_score
         s_new = log_joint_score(new_g, dag, data, hyper, state.engine).log_score
         oracle = min(1.0, math.exp(s_new - s_old + lqr - lqf))
-        sampler_ratio = min(1.0, math.exp(gamma_flip_log_ratio(state, k) + lqr - lqf))
+        sampler_ratio = min(1.0, math.exp(_gamma_flip_parts(state, k, adding)[0] + lqr - lqf))
         assert sampler_ratio == pytest.approx(oracle, rel=1e-10)
         assert 0.0 <= sampler_ratio <= 1.0
-
-
-def _gamma_draws(gamma, k):
-    """Scripted uniforms that make propose_gamma flip coordinate k."""
-    p = len(gamma)
-    deleting = bool(gamma[k])
-    pool = [i for i in range(p) if bool(gamma[i]) == deleting]
-    draws = [0.25 if deleting else 0.75] if 0 < sum(gamma) < p else []
-    draws.append((pool.index(k) + 0.5) / len(pool))
-    return draws
-
-
-def _column_draws(parents, c, p, j):
-    """Scripted uniforms that make the column kernel toggle candidate j of column c."""
-    nu = len(parents)
-    K = p - 1 - c
-    deleting = j in parents
-    draws = [0.25 if deleting else 0.75] if 0 < nu < K else []
-    draws.append((parents.index(j) + 0.5) / nu if deleting else (j - c - 1 + 0.5) / K)
-    return draws
 
 
 class TestDetailedBalance:
@@ -255,9 +246,6 @@ class TestDetailedBalance:
     @pytest.mark.parametrize("p", [3, 4])
     @pytest.mark.parametrize("b,sigma2,R,q", GRID)
     def test_every_move_balances(self, p, b, sigma2, R, q):
-        from jointdag.sampler import _dag_delta, _gamma_flip_parts, _propose_in_column
-        from jointdag.scoring import PosteriorTable
-
         data = chain_data(np.random.default_rng(29), n=40, p=p)
         hyper = Hyperparameters(b=b, sigma2=sigma2, R=R, q=q)
         engine = ScoreEngine(data, hyper)
@@ -270,24 +258,18 @@ class TestDetailedBalance:
             x = (tuple(int(v) for v in gamma), dag.parents)
             moves = []
             for k in range(p):
-                rng = FakeRng(_gamma_draws(gamma, k))
-                new_g, lqf, lqr = propose_gamma(state.gamma_arr, rng)
-                assert rng.values == [] and np.flatnonzero(new_g != gamma).tolist() == [k]
-                delta = _gamma_flip_parts(state, k, bool(new_g[k]))[0]
-                moves.append(((tuple(int(v) for v in new_g), dag.parents), lqf, lqr, delta))
+                _, adding, lqf, lqr = _force_gamma_move(state.gamma_arr, k)
+                delta = _gamma_flip_parts(state, k, adding)[0]
+                new_g = x[0][:k] + (int(adding),) + x[0][k + 1 :]
+                moves.append(((new_g, dag.parents), lqf, lqr, delta))
             # The scripted moves are every move: the forward probabilities sum
             # to one over the gamma moves and over each column's moves.
             assert math.fsum(math.exp(m[1]) for m in moves) == pytest.approx(1.0, abs=1e-12)
             for c in range(p - 1):
                 start = len(moves)
                 for j in range(c + 1, p):
-                    rng = FakeRng(_column_draws(dag.parents[c], c, p, j))
-                    j2, is_add, nu2, new_pa, lqf, lqr = _propose_in_column(dag.parents[c], c, p, rng)
-                    assert rng.values == [] and j2 == j
-                    if is_add and nu2 >= state.R:
-                        delta = dag_flip_log_ratio(state, c, j)
-                    else:
-                        delta = _dag_delta(state, c, j, is_add, new_pa)[0]
+                    _, is_add, new_pa, lqf, lqr = _force_column_move(dag.parents[c], c, j, p)
+                    delta = _dag_delta(state, c, j, is_add, new_pa)[0]
                     parents = dag.parents[:c] + (new_pa,) + dag.parents[c + 1 :]
                     moves.append(((x[0], parents), lqf, lqr, delta))
                 col = moves[start:]
@@ -327,24 +309,6 @@ class TestGibbsSweep:
             if (s + 1) % 1000 == 0:
                 worst = max(worst, check_state_consistency(state, refresh=False))
         assert worst <= 1e-8
-
-    def test_metropolis_case_reduces_to_score_ratio(self):
-        # Between interior states the add/delete kernel is not symmetric in
-        # general, but when forward and reverse corrections coincide the
-        # acceptance is exp(score delta) capped at one.
-        rng = np.random.default_rng(7)
-        data = chain_data(rng)
-        hyper = Hyperparameters()
-        gamma = np.array([1, 1, 0, 0], dtype=np.int8)
-        state = init_state(data, hyper, init=(gamma, Dag.empty(4)))
-        new_g, lqf, lqr = propose_gamma(gamma, FakeRng([0.3, 0.3]))
-        if lqf == lqr:
-            k = int(np.flatnonzero(new_g != gamma)[0])
-            d = gamma_flip_log_ratio(state, k)
-            assert min(1.0, math.exp(d)) == pytest.approx(
-                min(1.0, math.exp(d + lqr - lqf))
-            )
-
 
 class TestCheckStateConsistency:
     # Cached part -> the matching component of a from-scratch score.
@@ -568,6 +532,8 @@ class TestRunChain:
     def test_invalid_control(self):
         with pytest.raises(ValueError):
             ChainControl(iters=10, burnin=10)
+        with pytest.raises(ValueError, match="^seed"):
+            ChainControl(iters=10, burnin=5, seed=-1)
 
     def test_infinite_init_rejected(self):
         rng = np.random.default_rng(15)

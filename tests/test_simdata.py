@@ -10,7 +10,7 @@ from jointdag import (
     reconstruct_precision,
     sparsity_dag,
 )
-from jointdag.errors import DataError
+from jointdag.errors import DataError, DimensionError
 from jointdag.simdata import GroundTruth, generate, load_matrix_csv, save_matrix_csv
 
 
@@ -37,7 +37,7 @@ class TestDataset:
             Dataset(np.zeros((5, 0)), np.ones(5))
 
     def test_dimension_check(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(DimensionError):
             Dataset(np.zeros((3, 2)), np.zeros(4))
 
     def test_csv_roundtrip(self, tmp_path):
