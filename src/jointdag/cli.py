@@ -16,8 +16,9 @@ import json
 import math
 import sys
 import time
+import typing
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -36,7 +37,12 @@ METRIC_KEYS = ("sens", "spec", "auc", "mcc", "n_error", "mspe")
 
 @dataclass
 class RunConfig:
-    """Effective options of one run; defaults are the benchmark values."""
+    """Effective options of one run; defaults are the benchmark values.
+
+    The fields are the config schema: each is a key of the config file
+    and the flag ``--<key>`` (``_`` written ``-``), and its annotation
+    says how a string value is cast.
+    """
 
     mode: str = "fit"
     scenario: int = 1
@@ -45,7 +51,7 @@ class RunConfig:
     seed: int = 0
     iters: int = 10000
     burnin: int = 5000
-    workers: int = 1  # replicate's process count
+    workers: int = field(default=1, metadata={"help": "replicate's process count"})
     a: float = 2.75
     b: float = 0.5
     tau2: float = 1.0
@@ -54,8 +60,10 @@ class RunConfig:
     a0: float = 0.1
     b0: float = 0.01
     alpha_offset: float = 10.0
-    sigma2: float | None = None
-    init: str = "empty"
+    sigma2: float | None = field(
+        default=None, metadata={"help": "known noise variance; omit for the unknown-variance model"}
+    )
+    init: str = field(default="empty", metadata={"help": "DAG start: 'empty' or 'corr'"})
     n: int = 100
     n_test: int = 100
     x: str | None = None
@@ -66,7 +74,10 @@ class RunConfig:
     summary: str | None = None
     out: str = "."
     trace: str | None = None
-    baseline: tuple[str, ...] = ()
+    baseline: tuple[str, ...] = field(
+        default=(),
+        metadata={"help": "name=path of precomputed selections, one bitstring per replicate"},
+    )
 
     def hyper(self, b: float | None = None) -> Hyperparameters:
         return Hyperparameters(
@@ -91,35 +102,38 @@ class RunConfig:
         )
 
 
-_OPTIONAL_FLOAT = ("sigma2",)
-_OPTIONAL_INT = ("R",)
-_STR_KEYS = ("mode", "init", "x", "y", "x_test", "y_test", "truth", "summary", "out", "trace")
+_HINTS = typing.get_type_hints(RunConfig)
 
 
 def _cast(key: str, raw):
-    """Cast a raw config value to the declared field type."""
-    if isinstance(raw, str) and raw.strip().lower() in ("none", ""):
-        return None
-    try:
-        if key == "baseline":
-            if isinstance(raw, str):
-                return tuple(s.strip() for s in raw.split(",") if s.strip())
-            return tuple(raw)
-        if key in _STR_KEYS:
-            return str(raw)
-        if key in _OPTIONAL_FLOAT:
-            return float(raw)
-        if key in _OPTIONAL_INT:
-            return int(raw)
-        hints = {f.name: f.type for f in fields(RunConfig)}
-        hint = hints[key]
-        if hint == "int":
-            return int(raw)
-        if hint == "float":
-            return float(raw)
+    """Cast a config value to the type its RunConfig field declares.
+
+    Strings (file values and flags) are parsed; ``none`` or an empty value
+    is unset only where the field allows None.  Other values from Python
+    callers pass through, except that a repeated ``--baseline`` flag's
+    list becomes a tuple.
+    """
+    hint = _HINTS[key]
+    if hint == tuple[str, ...]:
+        if isinstance(raw, str):
+            return tuple(s.strip() for s in raw.split(",") if s.strip())
+        return tuple(raw)
+    if not isinstance(raw, str):
         return raw
-    except (TypeError, ValueError) as exc:
+    kinds = typing.get_args(hint) or (hint,)  # int | None -> (int, NoneType)
+    if raw.strip().lower() in ("none", ""):
+        if type(None) in kinds:
+            return None
+        raise ConfigError(f"config key {key!r}: a value is required, got {raw!r}")
+    try:
+        return kinds[0](raw)
+    except ValueError as exc:
         raise ConfigError(f"config key {key!r}: cannot parse value {raw!r}") from exc
+
+
+def _baseline_lines(path) -> list[str]:
+    """The selection bitstrings of a baseline file, one per replicate."""
+    return [ln.strip() for ln in Path(path).read_text().splitlines() if ln.strip()]
 
 
 def _validate(cfg: RunConfig) -> RunConfig:
@@ -150,10 +164,19 @@ def _validate(cfg: RunConfig) -> RunConfig:
     if cfg.init not in ("empty", "corr"):
         fail("init", "must be 'empty' or 'corr'")
     for entry in cfg.baseline:
-        if "=" not in entry:
+        name, eq, path = entry.partition("=")
+        if not eq:
             fail("baseline", f"expected name=path, got {entry!r}")
-        if cfg.mode == "replicate" and not Path(entry.split("=", 1)[1]).exists():
-            fail("baseline", f"selection file {entry.split('=', 1)[1]!r} does not exist")
+        if cfg.mode != "replicate":
+            continue
+        if not Path(path).is_file():
+            fail("baseline", f"selection file {path!r} does not exist or is not a file")
+        lines = _baseline_lines(path)
+        if len(lines) < cfg.reps:
+            fail("baseline", f"{name!r}: {path!r} has {len(lines)} selection lines for {cfg.reps} replicates")
+        for r, line in enumerate(lines[: cfg.reps], start=1):
+            if not set(line) <= {"0", "1"}:
+                fail("baseline", f"{name!r}: replicate {r}'s selection in {path!r} is not a 0/1 bitstring")
     required = {
         "fit": ("x", "y"),
         "evaluate": ("summary", "truth", "x", "y", "x_test", "y_test"),
@@ -162,8 +185,8 @@ def _validate(cfg: RunConfig) -> RunConfig:
         val = getattr(cfg, key)
         if val is None:
             fail(key, f"required for mode {cfg.mode!r}")
-        if not Path(val).exists():
-            fail(key, f"file {val!r} does not exist")
+        if not Path(val).is_file():
+            fail(key, f"file {val!r} does not exist or is not a file")
     return cfg
 
 
@@ -173,10 +196,13 @@ def parse_config(
     mode: str | None = None,
 ) -> RunConfig:
     """Assemble a validated RunConfig from a key=value file plus overrides."""
-    known = {f.name for f in fields(RunConfig)}
     values: dict = {}
     if config_path is not None:
-        for lineno, line in enumerate(Path(config_path).read_text().splitlines(), start=1):
+        try:
+            text = Path(config_path).read_text()
+        except OSError as exc:
+            raise ConfigError(f"{config_path}: cannot read config file ({exc.strerror})") from exc
+        for lineno, line in enumerate(text.splitlines(), start=1):
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
@@ -184,15 +210,14 @@ def parse_config(
                 raise ConfigError(f"{config_path}:{lineno}: expected key=value, got {line!r}")
             key, _, raw = line.partition("=")
             key = key.strip()
-            if key not in known:
+            if key not in _HINTS:
                 raise ConfigError(f"unknown config key {key!r}")
             values[key] = _cast(key, raw.strip())
     for key, raw in (overrides or {}).items():
-        if key not in known:
+        if key not in _HINTS:
             raise ConfigError(f"unknown config key {key!r}")
-        if raw is None:
-            continue
-        values[key] = _cast(key, raw) if isinstance(raw, str) else raw
+        if raw is not None:
+            values[key] = _cast(key, raw)
     if mode is not None:
         values["mode"] = mode
     return _validate(RunConfig(**values))
@@ -202,16 +227,10 @@ def parse_config(
 # Artifact writers
 
 
-def _config_echo(cfg: RunConfig) -> dict:
-    doc = asdict(cfg)
-    doc["baseline"] = list(doc["baseline"])
-    return doc
-
-
 def _write_manifest(out: Path, cfg: RunConfig, runtime_s: float, extra: dict | None = None) -> None:
     doc = {
         "version": __version__,
-        "config": _config_echo(cfg),
+        "config": asdict(cfg),
         "seed": cfg.seed,
         "runtime_s": runtime_s,
     }
@@ -305,23 +324,17 @@ def _rep_seeds(root_seed: int, r: int) -> tuple[int, int]:
     return int(lo), int(hi)
 
 
-def _method_label(b: float) -> str:
-    return f"joint_b{b:g}"
-
-
-def _replicate_task(payload: dict) -> dict:
-    """One replicate: simulate, fit every method, evaluate. Pure in its payload.
+def _replicate_task(cfg: RunConfig, r: int) -> dict:
+    """Replicate r: simulate, fit every method, evaluate. Pure in its arguments.
 
     The methods differ only in b, so their chains share one ScoreEngine:
     a later chain reuses the memo entries an earlier one filled.
     """
-    cfg = RunConfig(**payload["config"])
-    r = payload["rep"]
     data_seed, chain_seed = _rep_seeds(cfg.seed, r)
     truth, train, test = generate(cfg.scenario, cfg.setting, data_seed, n=cfg.n, n_test=cfg.n_test)
     engine = ScoreEngine(train, cfg.hyper())
     results = {}
-    for b in payload["b_values"]:
+    for b in [cfg.b] + ([0.0] if cfg.b != 0.0 else []):
         control = ChainControl(
             iters=cfg.iters,
             burnin=cfg.burnin,
@@ -330,14 +343,12 @@ def _replicate_task(payload: dict) -> dict:
         )
         summary = run_chain(train, cfg.hyper(b=b), control, engine)
         gamma_sel, _ = median_probability_model(summary)
-        results[_method_label(b)] = evaluate_selection(
+        results[f"joint_b{b:g}"] = evaluate_selection(
             gamma_sel, truth.gamma0, train, test, inclusion_probs=summary.inclusion_probs
         )
-    for name, path in payload["baselines"]:
-        lines = [ln.strip() for ln in Path(path).read_text().splitlines() if ln.strip()]
-        if r - 1 >= len(lines):
-            raise ConfigError(f"baseline {name!r}: no selection line for replicate {r}")
-        sel = np.array([int(ch) for ch in lines[r - 1]], dtype=np.int8)
+    for entry in cfg.baseline:
+        name, _, path = entry.partition("=")
+        sel = np.array([int(ch) for ch in _baseline_lines(path)[r - 1]], dtype=np.int8)
         results[name] = evaluate_selection(sel, truth.gamma0, train, test)
     return results
 
@@ -347,24 +358,14 @@ def _fmt_metric(v) -> str:
 
 
 def _run_replicate(cfg: RunConfig, out: Path) -> None:
-    b_values = [cfg.b] + ([0.0] if cfg.b != 0.0 else [])
-    baselines = [tuple(entry.split("=", 1)) for entry in cfg.baseline]
-    payloads = [
-        {
-            "rep": r,
-            "config": _config_echo(cfg) | {"baseline": tuple(cfg.baseline)},
-            "b_values": b_values,
-            "baselines": baselines,
-        }
-        for r in range(1, cfg.reps + 1)
-    ]
+    reps = range(1, cfg.reps + 1)
     if cfg.workers > 1:
         with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
-            per_rep = list(pool.map(_replicate_task, payloads))
+            per_rep = list(pool.map(_replicate_task, [cfg] * cfg.reps, reps))
     else:
-        per_rep = [_replicate_task(pl) for pl in payloads]
+        per_rep = [_replicate_task(cfg, r) for r in reps]
 
-    methods = [_method_label(b) for b in b_values] + [name for name, _ in baselines]
+    methods = list(per_rep[0])
     with (out / "replicates.csv").open("w") as fh:
         fh.write("rep,method," + ",".join(METRIC_KEYS) + "\n")
         for r, res in enumerate(per_rep, start=1):
@@ -415,34 +416,14 @@ def _build_parser() -> argparse.ArgumentParser:
     ):
         sp = sub.add_parser(mode, help=help_text)
         sp.add_argument("--config", help="key=value config file; flags override it")
-        sp.add_argument("--scenario", type=int)
-        sp.add_argument("--setting", type=int)
-        sp.add_argument("--reps", type=int)
-        sp.add_argument("--seed", type=int)
-        sp.add_argument("--iters", type=int)
-        sp.add_argument("--burnin", type=int)
-        sp.add_argument("--workers", type=int, help="replicate's process count")
-        sp.add_argument("--a", type=float)
-        sp.add_argument("--b", type=float)
-        sp.add_argument("--tau2", type=float)
-        sp.add_argument("--q", type=float)
-        sp.add_argument("--R", type=int)
-        sp.add_argument("--a0", type=float)
-        sp.add_argument("--b0", type=float)
-        sp.add_argument("--alpha-offset", dest="alpha_offset", type=float)
-        sp.add_argument("--sigma2", type=float, help="known noise variance; omit for the unknown-variance model")
-        sp.add_argument("--init", choices=("empty", "corr"))
-        sp.add_argument("--n", type=int)
-        sp.add_argument("--n-test", dest="n_test", type=int)
-        sp.add_argument("--x")
-        sp.add_argument("--y")
-        sp.add_argument("--x-test", dest="x_test")
-        sp.add_argument("--y-test", dest="y_test")
-        sp.add_argument("--truth")
-        sp.add_argument("--summary")
-        sp.add_argument("--out")
-        sp.add_argument("--trace")
-        sp.add_argument("--baseline", action="append", help="name=path of precomputed selections, one bitstring per replicate")
+        for f in fields(RunConfig):
+            if f.name != "mode":
+                sp.add_argument(
+                    "--" + f.name.replace("_", "-"),
+                    dest=f.name,
+                    action="append" if _HINTS[f.name] == tuple[str, ...] else "store",
+                    help=f.metadata.get("help"),
+                )
     return parser
 
 
@@ -450,12 +431,8 @@ def main(argv=None) -> int:
     args = vars(_build_parser().parse_args(argv))
     mode = args.pop("mode")
     config_path = args.pop("config")
-    if args.get("baseline") is not None:
-        args["baseline"] = tuple(args["baseline"])
-    overrides = {k: v for k, v in args.items() if v is not None}
     try:
-        config = parse_config(config_path, overrides, mode=mode)
-        return run(config)
+        return run(parse_config(config_path, args, mode=mode))
     except (ConfigError, DataError, DimensionError, RankDeficientError, UndefinedAUCError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -1,9 +1,10 @@
 import json
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
-from jointdag.cli import main, parse_config, run
+from jointdag.cli import RunConfig, main, parse_config, run
 from jointdag.errors import ConfigError
 from jointdag.sampler import ChainControl
 from jointdag.simdata import save_matrix_csv
@@ -37,6 +38,10 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="qq"):
             parse_config(str(path), mode="simulate")
 
+    def test_unreadable_config_file(self, tmp_path):
+        with pytest.raises(ConfigError, match="no.cfg: cannot read config file"):
+            parse_config(str(tmp_path / "no.cfg"), mode="simulate")
+
     def test_type_error_names_key(self, tmp_path):
         path = tmp_path / "run.cfg"
         path.write_text("iters=ten\n")
@@ -56,6 +61,7 @@ class TestParseConfig:
             ("alpha_offset", 2.0),
             ("R", -1),
             ("R", 0),
+            ("R", 2.5),
             ("iters", 100),
             ("seed", -1),
             ("n", 0),
@@ -71,10 +77,58 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="'x'"):
             parse_config(None, {"x": str(tmp_path / "no.csv"), "y": str(tmp_path / "no2.csv")}, mode="fit")
 
+    @pytest.mark.parametrize(
+        "argv,key",
+        [(["fit", "--x", "{d}", "--y", "{d}"], "x"), (["replicate", "--baseline", "lasso={d}"], "baseline")],
+    )
+    def test_directory_for_file_key_exits_2(self, tmp_path, capsys, argv, key):
+        argv = [arg.format(d=tmp_path) for arg in argv]
+        assert main(argv + ["--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err.startswith(f"error: config key '{key}': ")
+
     def test_sigma2_none_literal(self, tmp_path):
         path = tmp_path / "run.cfg"
         path.write_text("sigma2=none\n")
         assert parse_config(str(path), mode="simulate").sigma2 is None
+
+    @pytest.mark.parametrize("key,raw,value", [("R", "", None), ("R", "None", None), ("baseline", "", ())])
+    def test_unset_values(self, tmp_path, key, raw, value):
+        path = tmp_path / "run.cfg"
+        path.write_text(f"{key}={raw}\n")
+        assert getattr(parse_config(str(path), mode="simulate"), key) == value
+
+    @pytest.mark.parametrize("line", ["iters=", "seed=", "reps=none", "b=none", "out=none", "init="])
+    def test_required_key_without_value_exits_2(self, tmp_path, capsys, line):
+        path = tmp_path / "run.cfg"
+        path.write_text(line + "\n")
+        assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+        key = line.split("=")[0]
+        assert capsys.readouterr().err.startswith(f"error: config key '{key}': ")
+
+    @pytest.mark.parametrize("flag,value", [("--seed", "abc"), ("--iters", "1e4"), ("--init", "warm")])
+    def test_bad_flag_value_exits_2(self, tmp_path, capsys, flag, value):
+        assert main(["simulate", flag, value, "--out", str(tmp_path / "o")]) == 2
+        key = flag[2:]
+        assert capsys.readouterr().err.startswith(f"error: config key '{key}': ")
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("over", [{}, {"sigma2": 1.5, "R": 7, "trace": "t.jsonl"}])
+    def test_manifest_echo_round_trips(self, tmp_path, over):
+        # Every annotation RunConfig uses, read back from the file format.
+        out = tmp_path / "o"
+        over = {"scenario": 3, "n": 20, "n_test": 5, "out": str(out)} | over
+        over["baseline"] = ("lasso=l.txt", "enet=e.txt")
+        cfg = parse_config(None, over, mode="simulate")
+        assert run(cfg) == 0
+        echo = json.loads((out / "manifest.json").read_text())["config"]
+        assert set(echo) == {f.name for f in fields(RunConfig)}
+        lines = []
+        for key, value in echo.items():
+            text = ",".join(value) if isinstance(value, list) else str(value)
+            lines.append(f"{key}={'none' if value is None else text}")
+        path = tmp_path / "echo.cfg"
+        path.write_text("\n".join(lines) + "\n")
+        assert parse_config(str(path)) == cfg
 
 
 def _simulate_small(tmp_path, scenario=3, seed=5, n=40):
@@ -394,6 +448,29 @@ class TestReplicate:
         cells = lasso[0].split(",")
         assert cells[3] == ""  # no AUC for point selections
         assert float(cells[1]) == 1.0  # those replicates' truth is the first 10
+
+    @pytest.mark.parametrize(
+        "text,message",
+        [
+            ("1" * 150 + "\n", "has 1 selection lines for 2 replicates"),
+            ("1" * 150 + "\n" + "1" * 149 + "x\n", "replicate 2's selection"),
+        ],
+        ids=["short", "bad-char"],
+    )
+    def test_bad_baseline_refused_before_chains(self, tmp_path, monkeypatch, capsys, text, message):
+        from jointdag import cli
+
+        def no_chain(*args, **kw):
+            raise AssertionError("a chain ran before the baseline file was checked")
+
+        monkeypatch.setattr(cli, "run_chain", no_chain)
+        base = tmp_path / "lasso.txt"
+        base.write_text(text)
+        argv = ["replicate", "--scenario", "3", "--reps", "2", "--n", "25", "--n-test", "10"]
+        argv += ["--baseline", f"lasso={base}", "--out", str(tmp_path / "o")]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: config key 'baseline': ") and message in err
 
 
 class TestMain:
