@@ -25,7 +25,7 @@ from .sampler import (
     propose_gamma,
     run_chain,
 )
-from .scoring import JointScore, ScoreEngine, check_condition_A, enumerate_posterior, log_joint_score
+from .scoring import JointScore, ScoreEngine, enumerate_posterior, log_joint_score
 from .simdata import Dataset, GroundTruth, gen_scenario1, gen_scenario2, gen_scenario3
 from .spike_slab import Hyperparameters, log_mrf_prior
 
@@ -43,7 +43,6 @@ __all__ = [
     "ScoreEngine",
     "adjacency",
     "auc",
-    "check_condition_A",
     "confusion",
     "enumerate_posterior",
     "gen_scenario1",

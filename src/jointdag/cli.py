@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 import time
 import typing
@@ -29,7 +28,7 @@ from .graphs import dag_to_edge_csv
 from .metrics import evaluate_selection
 from .sampler import ChainControl, ChainSummary, median_probability_model, run_chain
 from .scoring import ScoreEngine
-from .simdata import Dataset, GroundTruth, generate, save_matrix_csv
+from .simdata import Dataset, GroundTruth, generate, read_inclusion, read_json_object, save_matrix_csv
 from .spike_slab import Hyperparameters
 
 METRIC_KEYS = ("sens", "spec", "auc", "mcc", "n_error", "mspe")
@@ -92,11 +91,11 @@ class RunConfig:
             alpha_offset=self.alpha_offset,
         )
 
-    def control(self, seed: int | None = None, trace: str | None = None) -> ChainControl:
+    def control(self, trace: str | None = None) -> ChainControl:
         return ChainControl(
             iters=self.iters,
             burnin=self.burnin,
-            seed=self.seed if seed is None else seed,
+            seed=self.seed,
             init=self.init,
             trace=trace,
         )
@@ -175,8 +174,10 @@ def _validate(cfg: RunConfig) -> RunConfig:
         if len(lines) < cfg.reps:
             fail("baseline", f"{name!r}: {path!r} has {len(lines)} selection lines for {cfg.reps} replicates")
         for r, line in enumerate(lines[: cfg.reps], start=1):
-            if not set(line) <= {"0", "1"}:
-                fail("baseline", f"{name!r}: replicate {r}'s selection in {path!r} is not a 0/1 bitstring")
+            try:
+                read_inclusion(line, path, f"replicate {r}'s selection")
+            except DataError as exc:
+                fail("baseline", f"{name!r}: {exc}")
     required = {
         "fit": ("x", "y"),
         "evaluate": ("summary", "truth", "x", "y", "x_test", "y_test"),
@@ -253,9 +254,7 @@ def summary_to_json(summary: ChainSummary, gamma_sel: np.ndarray, dag_sel) -> st
         for j in range(c + 1, p)
         if summary.edge_probs[c, j] > 0.0
     ]
-    dag_acc = [
-        None if math.isnan(v) else float(v) for v in np.atleast_1d(summary.dag_acceptance)
-    ]
+    dag_acc = [float(v) for v in summary.dag_acceptance]
     doc = {
         "acceptance": {"gamma": float(summary.gamma_acceptance), "dag": dag_acc},
         "burnin": summary.burnin,
@@ -271,8 +270,8 @@ def summary_to_json(summary: ChainSummary, gamma_sel: np.ndarray, dag_sel) -> st
 
 
 def _load_summary_json(path) -> tuple[np.ndarray, np.ndarray]:
-    doc = json.loads(Path(path).read_text())
-    gamma = np.array([int(ch) for ch in doc["selected_gamma"]], dtype=np.int8)
+    doc = read_json_object(Path(path).read_text(), path, ("selected_gamma", "inclusion_probs"))
+    gamma = read_inclusion(doc["selected_gamma"], path, "selected_gamma")
     probs = np.asarray(doc["inclusion_probs"], dtype=float)
     return gamma, probs
 
@@ -304,7 +303,7 @@ def _run_fit(cfg: RunConfig, out: Path) -> dict:
 
 
 def _run_evaluate(cfg: RunConfig, out: Path) -> None:
-    truth = GroundTruth.from_json(Path(cfg.truth).read_text())
+    truth = GroundTruth.from_json(Path(cfg.truth).read_text(), cfg.truth)
     train = Dataset.from_csv(cfg.x, cfg.y)
     test = Dataset.from_csv(cfg.x_test, cfg.y_test)
     if train.p != truth.p:
@@ -348,7 +347,7 @@ def _replicate_task(cfg: RunConfig, r: int) -> dict:
         )
     for entry in cfg.baseline:
         name, _, path = entry.partition("=")
-        sel = np.array([int(ch) for ch in _baseline_lines(path)[r - 1]], dtype=np.int8)
+        sel = read_inclusion(_baseline_lines(path)[r - 1], path, f"replicate {r}'s selection")
         results[name] = evaluate_selection(sel, truth.gamma0, train, test)
     return results
 

@@ -168,16 +168,13 @@ class ChainState:
         "parents",
         "G",
         "col_dlz",
-        "n_edges",
         "mrf_log",
         "dag_prior_log",
         "dlz_total",
         "marginal_log",
         "iteration",
         "gamma_accepts",
-        "gamma_proposals",
         "col_accepts",
-        "col_proposals",
     )
 
     def __init__(
@@ -202,7 +199,6 @@ class ChainState:
         dag = self.dag()
         # Wide ints: row-times-gamma neighbour counts must not wrap.
         self.G = adjacency(dag).astype(np.intp)
-        self.n_edges = dag.n_edges
         self.col_dlz = [engine.zcache.delta(c, pa) for c, pa in enumerate(self.parents)]
         score = log_joint_score(self.gamma_arr, dag, engine.data, hyper, engine)
         self.mrf_log = score.log_gamma_prior
@@ -211,9 +207,7 @@ class ChainState:
         self.marginal_log = score.log_marginal
         self.iteration = 0
         self.gamma_accepts = 0
-        self.gamma_proposals = 0
         self.col_accepts = [0] * max(p - 1, 0)
-        self.col_proposals = [0] * max(p - 1, 0)
 
     def dag(self) -> Dag:
         return Dag(self.p, tuple(self.parents))
@@ -323,7 +317,6 @@ def _dag_delta(state: ChainState, c: int, j: int, is_add: bool, new_pa):
 
 
 def _gamma_step(state: ChainState, stream) -> bool:
-    state.gamma_proposals += 1
     k, adding, lqf, lqr = propose_gamma(state.gamma_arr, stream)
     delta, new_active, new_marg, dmrf = _gamma_flip_parts(state, k, adding)
     if new_active is None:
@@ -340,7 +333,6 @@ def _gamma_step(state: ChainState, stream) -> bool:
 
 
 def _column_step(state: ChainState, c: int, stream) -> int:
-    state.col_proposals[c] += 1
     j, is_add, new_pa, lqf, lqr = _propose_in_column(state.parents[c], c, state.p, stream)
     d, dlz_new, dprior, dmrf = _dag_delta(state, c, j, is_add, new_pa)
     if dlz_new is None:
@@ -355,7 +347,6 @@ def _column_step(state: ChainState, c: int, stream) -> int:
     state.dag_prior_log += dprior
     state.mrf_log += dmrf
     state.G[c, j] = state.G[j, c] = 1 if is_add else 0
-    state.n_edges += 1 if is_add else -1
     return 1
 
 
@@ -432,8 +423,7 @@ class ChainSummary:
     inclusion_probs: np.ndarray
     edge_probs: np.ndarray  # [child, parent] with parent > child
     gamma_acceptance: float
-    dag_acceptance: np.ndarray  # per column; NaN where never proposed
-    n_kept: int
+    dag_acceptance: np.ndarray  # per column
     seed: int
     iters: int = 0
     burnin: int = 0
@@ -442,6 +432,10 @@ class ChainSummary:
     @property
     def p(self) -> int:
         return self.inclusion_probs.shape[0]
+
+    @property
+    def n_kept(self) -> int:
+        return self.iters - self.burnin
 
 
 def run_chain(
@@ -480,7 +474,7 @@ def run_chain(
                         {
                             "iter": s,
                             "size": len(state.active),
-                            "edges": state.n_edges,
+                            "edges": sum(map(len, state.parents)),
                             "log_score": state.log_score,
                             "accept_gamma": bool(acc_g),
                             "dag_accepts": acc_d,
@@ -495,16 +489,13 @@ def run_chain(
             trace_fh.close()
     check_state_consistency(state)
 
+    # Every sweep proposes one inclusion move and one move per column.
     kept = control.iters - control.burnin
-    proposals = np.array(state.col_proposals, dtype=float)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        dag_acc = np.array(state.col_accepts, dtype=float) / proposals
     return ChainSummary(
         inclusion_probs=var_cum / kept,
         edge_probs=np.triu(edge_cum, 1) / kept,
-        gamma_acceptance=state.gamma_accepts / max(state.gamma_proposals, 1),
-        dag_acceptance=dag_acc,
-        n_kept=kept,
+        gamma_acceptance=state.gamma_accepts / control.iters,
+        dag_acceptance=np.array(state.col_accepts, dtype=float) / control.iters,
         seed=control.seed,
         iters=control.iters,
         burnin=control.burnin,

@@ -124,8 +124,8 @@ def log_joint_score(
     """Full unnormalized log posterior score of one (gamma, DAG) pair.
 
     Either complexity-bound violation yields a -inf component and hence a
-    -inf total.  Numeric failures are re-raised with the failing
-    component named.
+    -inf total.  Numeric failures of the normalizer or the likelihood are
+    re-raised with the failing component named.
     """
     g = np.asarray(gamma)
     if g.shape != (data.p,):
@@ -136,14 +136,8 @@ def log_joint_score(
         engine = ScoreEngine(data, hyper)
     else:
         engine.check_serves(data, hyper)
-    try:
-        lgp = log_mrf_prior(g, adjacency(dag), hyper)
-    except Exception as exc:  # pragma: no cover - annotation plumbing
-        raise _annotated("log_gamma_prior", exc)
-    try:
-        ldp = log_prior_dag(dag, hyper.q, hyper.effective_R(data.p))
-    except Exception as exc:  # pragma: no cover
-        raise _annotated("log_dag_prior", exc)
+    lgp = log_mrf_prior(g, adjacency(dag), hyper)
+    ldp = log_prior_dag(dag, hyper.q, hyper.effective_R(data.p))
     try:
         dlz = sum(engine.zcache.delta(i, pa) for i, pa in enumerate(dag.parents))
     except Exception as exc:
@@ -155,18 +149,6 @@ def log_joint_score(
     return JointScore(
         log_gamma_prior=lgp, log_dag_prior=ldp, delta_log_z=dlz, log_marginal=lml
     )
-
-
-def check_condition_A(gamma0: np.ndarray, G0: np.ndarray) -> bool:
-    """True when every edge of G0 joins two active variables."""
-    g = np.asarray(gamma0).astype(bool)
-    G0 = np.asarray(G0)
-    if G0.shape != (g.shape[0], g.shape[0]):
-        raise DimensionError(
-            f"adjacency shape {G0.shape} does not match indicator length {g.shape[0]}"
-        )
-    both = np.outer(g, g)
-    return not np.any((G0 != 0) & ~both)
 
 
 def _lex_subsets(candidates: range, max_size: int) -> list[tuple[int, ...]]:

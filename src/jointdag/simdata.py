@@ -149,11 +149,12 @@ class GroundTruth:
         return json.dumps(doc, sort_keys=True, indent=1)
 
     @classmethod
-    def from_json(cls, text: str) -> "GroundTruth":
-        doc = json.loads(text)
+    def from_json(cls, text: str, source: str = "truth JSON") -> "GroundTruth":
+        """Parse ``to_json`` output; malformed input raises DataError naming ``source``."""
+        doc = read_json_object(text, source, ("p", "beta0", "gamma0", "sigma_eps2", "seed"))
         p = int(doc["p"])
         beta0 = np.asarray(doc["beta0"], dtype=float)
-        gamma0 = np.array([int(ch) for ch in doc["gamma0"]], dtype=np.int8)
+        gamma0 = read_inclusion(doc["gamma0"], source, "gamma0")
         dag0 = None
         if doc.get("edges") is not None:
             dag0 = Dag.from_edges(p, [(c - 1, j - 1) for c, j in doc["edges"]])
@@ -167,6 +168,29 @@ class GroundTruth:
             seed=int(doc["seed"]),
             condition_a=doc.get("condition_a"),
         )
+
+
+def read_json_object(text: str, source: str, keys: tuple[str, ...]) -> dict:
+    """The JSON object in ``text``; text that is not a JSON object, or an
+    object without one of ``keys``, raises DataError naming ``source``."""
+    try:
+        doc = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise DataError(f"{source}: not JSON ({exc})") from None
+    if not isinstance(doc, dict):
+        raise DataError(f"{source}: expected a JSON object")
+    for key in keys:
+        if key not in doc:
+            raise DataError(f"{source}: missing key {key!r}")
+    return doc
+
+
+def read_inclusion(bits, source: str, key: str) -> np.ndarray:
+    """The inclusion vector written as a string of 0s and 1s; any other
+    value raises DataError naming ``source`` and ``key``."""
+    if not (isinstance(bits, str) and bits and set(bits) <= {"0", "1"}):
+        raise DataError(f"{source}: {key} must be a non-empty string of 0s and 1s")
+    return np.array([int(ch) for ch in bits], dtype=np.int8)
 
 
 def _active_network_closed(gamma: np.ndarray, dag: Dag) -> bool:

@@ -281,11 +281,14 @@ class TestFitEvaluate:
         with pytest.raises(DimensionError):
             run(cfg)
 
-    def _evaluate_main(self, sim, tmp_path, selected, x):
+    PROBS = [0.9, 0.8, 0.7, 0.2, 0.1, 0.1]
+
+    def _evaluate_main(self, sim, tmp_path, selected, x, probs=PROBS, truth=None):
         summary = tmp_path / "summary.json"
-        probs = [0.9, 0.8, 0.7, 0.2, 0.1, 0.1]
-        summary.write_text(json.dumps({"selected_gamma": selected, "inclusion_probs": probs}))
-        argv = ["evaluate", "--summary", str(summary), "--truth", str(tmp_path / "truth.json")]
+        doc = {"selected_gamma": selected} | ({} if probs is None else {"inclusion_probs": probs})
+        summary.write_text(json.dumps(doc))
+        truth = tmp_path / "truth.json" if truth is None else truth
+        argv = ["evaluate", "--summary", str(summary), "--truth", str(truth)]
         argv += ["--x", str(x), "--y", str(sim / "Y.csv")]
         argv += ["--x-test", str(sim / "X_test.csv"), "--y-test", str(sim / "Y_test.csv")]
         return main(argv + ["--out", str(tmp_path / "out")])
@@ -305,6 +308,28 @@ class TestFitEvaluate:
         (tmp_path / "truth.json").write_text(json.dumps(doc))
         assert self._evaluate_main(sim, tmp_path, "100000", sim / "X.csv") == 2
         assert capsys.readouterr().err.startswith("error: truth labels are all equal")
+
+    @pytest.mark.parametrize(
+        "gamma0,selected,probs,truth_name,bad_file,message",
+        [
+            ("11x000", "110000", PROBS, "truth.json", "truth.json", "gamma0 must be"),
+            (None, "110000", None, "truth.json", "summary.json", "missing key 'inclusion_probs'"),
+            (None, "110000", PROBS, "X.csv", "X.csv", "not JSON"),
+            (None, "120000", PROBS, "truth.json", "summary.json", "selected_gamma must be"),
+        ],
+        ids=["truth-gamma0-x", "summary-no-probs", "truth-is-csv", "selected-gamma-2"],
+    )
+    def test_evaluate_malformed_json_exits_2(
+        self, sim, tmp_path, capsys, gamma0, selected, probs, truth_name, bad_file, message
+    ):
+        doc = json.loads((sim / "truth.json").read_text())
+        doc["gamma0"] = gamma0 or doc["gamma0"]
+        (tmp_path / "truth.json").write_text(json.dumps(doc))
+        (tmp_path / "X.csv").write_text((sim / "X.csv").read_text())
+        code = self._evaluate_main(sim, tmp_path, selected, sim / "X.csv", probs, tmp_path / truth_name)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {tmp_path / bad_file}: ") and message in err
 
 
 class TestReplicate:

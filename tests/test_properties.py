@@ -3,8 +3,8 @@
 Hypothesis draws small datasets (p = 3..6), hyperparameters away from
 the defaults (b, known sigma2, an active R bound, a large edge
 probability q) and the start.  After each sweep the cached score parts
-must match a fresh evaluation, and the dense adjacency and edge count
-must match the parent sets.
+must match a fresh evaluation, and the dense adjacency must match the
+parent sets.
 """
 
 import numpy as np
@@ -44,6 +44,5 @@ def test_state_consistent_after_every_sweep(chain, n_sweeps):
         check_state_consistency(state, tol=1e-9, refresh=False)
         dag = state.dag()
         assert np.array_equal(state.G, adjacency(dag))
-        assert state.n_edges == dag.n_edges
         assert len(state.active) == int(state.gamma_arr.sum()) < state.R
     assert state.iteration == n_sweeps

@@ -143,7 +143,7 @@ class TestProposeDagColumn:
         streams.columns[2] = FakeRng([])  # any draw raises IndexError
         for _ in range(200):
             gibbs_sweep(state, streams)
-        assert state.parents[2] == () and len(state.col_proposals) == 2
+        assert state.parents[2] == () and len(state.col_accepts) == 2
 
     def test_reversibility_exhaustive_p4(self):
         # For every column state and every toggle, the forward log kernel
@@ -554,7 +554,6 @@ class TestMedianProbabilityModel:
             edge_probs=ep,
             gamma_acceptance=0.0,
             dag_acceptance=np.zeros(max(p - 1, 0)),
-            n_kept=1,
             seed=0,
         )
 

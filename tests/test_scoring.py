@@ -9,7 +9,6 @@ from jointdag import (
     Dataset,
     Hyperparameters,
     ScoreEngine,
-    check_condition_A,
     enumerate_posterior,
     log_joint_score,
 )
@@ -85,25 +84,6 @@ class TestLogJointScore:
             log_joint_score(np.zeros(4), Dag.empty(3), data, Hyperparameters())
         with pytest.raises(DimensionError):
             log_joint_score(np.zeros(3), Dag.empty(4), data, Hyperparameters())
-
-
-class TestCheckConditionA:
-    def test_edge_between_active(self):
-        G = np.zeros((3, 3))
-        G[0, 1] = G[1, 0] = 1
-        assert check_condition_A(np.array([1, 1, 0]), G)
-
-    def test_edge_touches_inactive(self):
-        G = np.zeros((3, 3))
-        G[0, 1] = G[1, 0] = 1
-        assert not check_condition_A(np.array([1, 0, 0]), G)
-
-    def test_vacuous_when_no_edges(self):
-        assert check_condition_A(np.array([0, 1, 0]), np.zeros((3, 3)))
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(DimensionError):
-            check_condition_A(np.zeros(2), np.zeros((3, 3)))
 
 
 def wide_hyper(f):

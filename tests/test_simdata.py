@@ -11,7 +11,14 @@ from jointdag import (
     sparsity_dag,
 )
 from jointdag.errors import DataError, DimensionError
-from jointdag.simdata import GroundTruth, generate, load_matrix_csv, save_matrix_csv
+from jointdag.graphs import Dag
+from jointdag.simdata import (
+    GroundTruth,
+    _active_network_closed,
+    generate,
+    load_matrix_csv,
+    save_matrix_csv,
+)
 
 
 class TestDataset:
@@ -216,6 +223,25 @@ class TestGroundTruthJson:
         truth, _, _ = gen_scenario3(1, seed=9, n=5, n_test=5)
         back = GroundTruth.from_json(truth.to_json())
         assert back.dag0 is None
+
+
+class TestActiveNetworkClosed:
+    """Condition A as the generators record it: no edge joins an active
+    and an inactive variable."""
+
+    EDGE = Dag.from_edges(3, [(0, 1)])
+
+    def test_edge_between_active(self):
+        assert _active_network_closed(np.array([1, 1, 0]), self.EDGE)
+
+    def test_edge_touches_inactive(self):
+        assert not _active_network_closed(np.array([1, 0, 0]), self.EDGE)
+
+    def test_vacuous_when_no_edges(self):
+        assert _active_network_closed(np.array([0, 1, 0]), Dag.empty(3))
+
+    def test_edge_between_inactive(self):
+        assert _active_network_closed(np.array([0, 0, 1]), self.EDGE)
 
 
 def test_generate_dispatch():
