@@ -28,7 +28,15 @@ from .graphs import dag_to_edge_csv
 from .metrics import evaluate_selection
 from .sampler import ChainControl, ChainSummary, median_probability_model, run_chain
 from .scoring import ScoreEngine
-from .simdata import Dataset, GroundTruth, generate, read_inclusion, read_json_object, save_matrix_csv
+from .simdata import (
+    Dataset,
+    GroundTruth,
+    generate,
+    read_inclusion,
+    read_json_object,
+    read_numbers,
+    save_matrix_csv,
+)
 from .spike_slab import Hyperparameters
 
 METRIC_KEYS = ("sens", "spec", "auc", "mcc", "n_error", "mspe")
@@ -272,7 +280,9 @@ def summary_to_json(summary: ChainSummary, gamma_sel: np.ndarray, dag_sel) -> st
 def _load_summary_json(path) -> tuple[np.ndarray, np.ndarray]:
     doc = read_json_object(Path(path).read_text(), path, ("selected_gamma", "inclusion_probs"))
     gamma = read_inclusion(doc["selected_gamma"], path, "selected_gamma")
-    probs = np.asarray(doc["inclusion_probs"], dtype=float)
+    probs = read_numbers(doc["inclusion_probs"], path, "inclusion_probs", ndim=1)
+    if np.any((probs < 0.0) | (probs > 1.0)):
+        raise DataError(f"{path}: inclusion_probs must lie in [0, 1]")
     return gamma, probs
 
 

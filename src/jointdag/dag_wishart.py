@@ -14,6 +14,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import compress, repeat
+from operator import is_
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -52,34 +54,44 @@ class DagWishartParams:
         return self.U.shape[0]
 
 
-def _logdet_pd(block: np.ndarray) -> float:
-    """Log determinant of a small positive definite block via Cholesky."""
+def _logdet_pairs(M: np.ndarray, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Log determinants of ``M[pa, pa]`` and ``M[pa + (i,), pa + (i,)]`` for
+    each row ``pa + (i,)`` of the integer array ``idx`` (all rows of one
+    length).
+
+    One stacked Cholesky factors every ``pa + (i,)`` block; the factor of
+    the leading ``pa`` block is its leading corner, so the two log
+    determinants are twice the sum of the log diagonal without and with
+    its last term.  The determinant of an empty block is 1.
+    """
+    blocks = M[idx[:, :, np.newaxis], idx[:, np.newaxis, :]]
     try:
-        chol = np.linalg.cholesky(block)
+        chol = np.linalg.cholesky(blocks)
     except np.linalg.LinAlgError as exc:
         raise NotPositiveDefiniteError("scale submatrix is not positive definite") from exc
-    return 2.0 * float(np.sum(np.log(np.diag(chol))))
+    log_diag = np.log(np.diagonal(chol, axis1=1, axis2=2))
+    half_gt = log_diag[:, :-1].sum(axis=1)
+    return 2.0 * half_gt, 2.0 * (half_gt + log_diag[:, -1])
+
+
+def _log_z_terms(alpha, nu: int, ld_gt, ld_ge):
+    """One vertex's factor of the log normalizer from its shape, parent
+    count and the two log determinants of ``_logdet_pairs``; elementwise
+    over arrays of log determinants."""
+    half = 0.5 * (alpha - nu)
+    out = gammaln(half - 1.0) + (0.5 * alpha - 1.0) * _LOG_2 + 0.5 * nu * _LOG_PI
+    return out + (half - 1.5) * ld_gt - (half - 1.0) * ld_ge
 
 
 def _log_z_column_raw(U: np.ndarray, i: int, parents: tuple[int, ...], alpha_i: float) -> float:
-    """One vertex's factor of the log normalizer; determinant of an empty block is 1."""
+    """One vertex's factor of the log normalizer."""
     nu = len(parents)
-    half = 0.5 * (alpha_i - nu)
-    if half <= 1.0:
+    if 0.5 * (alpha_i - nu) <= 1.0:
         raise ImproperPriorError(
             f"vertex {i}: alpha - nu = {alpha_i - nu} but must exceed 2"
         )
-    out = gammaln(half - 1.0) + (0.5 * alpha_i - 1.0) * _LOG_2 + 0.5 * nu * _LOG_PI
-    if nu == 0:
-        u_ii = U[i, i]
-        if u_ii <= 0.0:
-            raise NotPositiveDefiniteError(f"U[{i},{i}] must be positive")
-        return out - (half - 1.0) * math.log(u_ii)
-    idx = np.fromiter(parents, dtype=np.intp, count=nu)
-    ld_gt = _logdet_pd(U[np.ix_(idx, idx)])
-    idx_ge = np.concatenate(([i], idx))
-    ld_ge = _logdet_pd(U[np.ix_(idx_ge, idx_ge)])
-    return out + (half - 1.5) * ld_gt - (half - 1.0) * ld_ge
+    ld_gt, ld_ge = _logdet_pairs(U, np.array([parents + (i,)], dtype=np.intp))
+    return float(_log_z_terms(alpha_i, nu, ld_gt[0], ld_ge[0]))
 
 
 def log_z_column(dag: Dag, params: DagWishartParams, i: int) -> float:
@@ -133,12 +145,15 @@ class ColumnZDeltaCache:
 
     ``delta(i, parents)`` returns the i-th factor of
     log z(U_post, n + alpha) - log z(U, alpha) under the shape rule
-    alpha_i = nu_i + offset.  Results are cached by (vertex, parent set),
-    so only a column whose parent set changes needs a new value.  A miss
-    factors two blocks of ``U_post`` and two of ``U``.  When ``U`` is the
-    identity every prior-side log determinant is exactly 0.0, so the
-    prior factor depends on the parent count alone; it is then memoized
-    by that count and a miss factors only the two posterior blocks.
+    alpha_i = nu_i + offset, and ``deltas(vertices, parent_sets)`` returns
+    it for many (vertex, parent set) keys at once.  Results are cached by
+    key, so only a column whose parent set changes needs a new value.
+    Misses are grouped by parent count, and each group's ``U_post`` blocks
+    are factored with one stacked Cholesky (``_logdet_pairs``): one
+    factorization per miss, and one more of the same block of ``U``.
+    When ``U`` is the identity every prior-side log determinant is exactly
+    0.0, so the prior factor depends on the parent count alone; it is then
+    memoized by that count and a miss factors only its posterior block.
     """
 
     def __init__(self, U: np.ndarray, U_post: np.ndarray, n: int, offset: float):
@@ -148,30 +163,51 @@ class ColumnZDeltaCache:
         self.U_post = np.asarray(U_post, dtype=float)
         self.n = int(n)
         self.offset = float(offset)
-        self._memo: dict[tuple[int, tuple[int, ...]], float] = {}
+        # One memo per vertex, keyed by parent set: a lookup hashes only the
+        # parent tuple, and each table stays small.
+        self._memo: list[dict[tuple[int, ...], float]] = [{} for _ in range(self.U.shape[0])]
         identity = np.array_equal(self.U, np.eye(self.U.shape[0]))
         self._prior_by_nu: dict[int, float] | None = {} if identity else None
 
     def __len__(self) -> int:
         """Number of memoized (vertex, parent set) values."""
-        return len(self._memo)
+        return sum(map(len, self._memo))
 
-    def _log_z_prior(self, i: int, parents: tuple[int, ...], a_prior: float) -> float:
+    def _fill(self, keys) -> None:
+        """Compute and memoize the values of the (vertex, parent set)
+        ``keys``, none of them memoized."""
+        groups: dict[int, list] = {}
+        for key in keys:
+            groups.setdefault(len(key[1]), []).append(key)
         by_nu = self._prior_by_nu
-        if by_nu is None:
-            return _log_z_column_raw(self.U, i, parents, a_prior)
-        val = by_nu.get(len(parents))
-        if val is None:
-            val = by_nu[len(parents)] = _log_z_column_raw(self.U, i, parents, a_prior)
-        return val
+        for nu, group in groups.items():
+            idx = np.array([pa + (i,) for i, pa in group], dtype=np.intp)
+            a_prior = nu + self.offset
+            vals = _log_z_terms(self.n + a_prior, nu, *_logdet_pairs(self.U_post, idx))
+            if by_nu is None:
+                vals -= _log_z_terms(a_prior, nu, *_logdet_pairs(self.U, idx))
+            else:
+                prior = by_nu.get(nu)
+                if prior is None:
+                    prior = by_nu[nu] = float(_log_z_terms(a_prior, nu, 0.0, 0.0))
+                vals -= prior
+            for (i, pa), val in zip(group, vals.tolist()):
+                self._memo[i][pa] = val
 
     def delta(self, i: int, parents: tuple[int, ...]) -> float:
-        key = (i, parents)
-        val = self._memo.get(key)
+        val = self._memo[i].get(parents)
         if val is None:
-            a_prior = len(parents) + self.offset
-            val = _log_z_column_raw(self.U_post, i, parents, self.n + a_prior) - self._log_z_prior(
-                i, parents, a_prior
-            )
-            self._memo[key] = val
+            self._fill(((i, parents),))
+            val = self._memo[i][parents]
         return val
+
+    def deltas(self, vertices, parent_sets) -> list[float]:
+        """The values of the keys ``zip(vertices, parent_sets)`` in order,
+        both sequences; every miss among them is computed in one ``_fill``."""
+        memos = list(map(self._memo.__getitem__, vertices))
+        vals = list(map(dict.get, memos, parent_sets))
+        if None in vals:
+            missing = map(is_, vals, repeat(None))
+            self._fill(dict.fromkeys(compress(zip(vertices, parent_sets), missing)))
+            vals = list(map(dict.__getitem__, memos, parent_sets))
+        return vals

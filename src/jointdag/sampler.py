@@ -1,20 +1,25 @@
 """Metropolis-within-Gibbs sampler over (inclusion vector, DAG).
 
 Each sweep makes one add/delete move on the inclusion vector and then
-one add/delete move on every DAG column, in column order.  Each move
-type is one propose/delta/commit: a proposal kernel, a delta function
-that returns the log posterior ratio (-inf outside the complexity
-bound) with the increments to commit, and a step function that decides
-and commits them.  The tests drive these same functions.
+one add/delete move on every DAG column.  Given the inclusion vector the
+column moves are independent (each column's score terms are its own
+normalizer factor, edge prior and coupling terms whose endpoints are
+fixed), so a sweep proposes, scores and accepts them all at once.  Each
+move type is one propose/delta/commit: a proposal kernel, a delta
+function that returns the log posterior ratio (-inf outside the
+complexity bound) with the increments to commit, and a step function
+that decides and commits them.  The tests drive these same functions.
 
 The state keeps the parent sets (the normalizer memo keys) beside one
 dense symmetric adjacency matrix, whose rows give the graph neighbours
 the coupling prior needs and whose running sum gives the edge inclusion
 probabilities.
 
-Reproducibility: a root seed derives one counter-based stream for the
-inclusion moves and one per column, so the chain output is a pure
-function of (data, hyperparameters, control).
+Reproducibility: a root seed derives two counter-based streams, one for
+the inclusion moves and one for the column moves.  Each sweep draws one
+(p - 1) x 3 block of uniforms from the column stream, row c holding
+column c's direction, candidate and acceptance draws, so the chain
+output is a pure function of (data, hyperparameters, control).
 """
 
 from __future__ import annotations
@@ -22,6 +27,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from itertools import compress, count
 
 import numpy as np
 
@@ -57,12 +63,12 @@ class _Stream:
 
 class ChainStreams:
     """Independent random streams: one for the inclusion vector and one
-    per DAG column."""
+    for the column moves, from which each sweep draws one block."""
 
     def __init__(self, seed: int, p: int):
-        kids = np.random.SeedSequence(seed).spawn(p + 1)
+        kids = np.random.SeedSequence(seed).spawn(2)
         self.gamma = _Stream(kids[0])
-        self.columns = [_Stream(kids[c + 1]) for c in range(p)]
+        self.columns = np.random.Generator(np.random.Philox(kids[1]))
 
 
 # ---------------------------------------------------------------------------
@@ -103,41 +109,45 @@ def propose_gamma(gamma: np.ndarray, rng):
     return k, not do_delete, float(lqf), float(lqr)
 
 
-def _propose_in_column(parents: tuple[int, ...], c: int, p: int, rng):
-    """Add/delete proposal on the parent set of column c.
+def _propose_columns(parents: list[tuple[int, ...]], u: np.ndarray):
+    """Add/delete proposal on the parent set of every column at once.
 
-    Returns (toggled vertex, is_add, new parent tuple, forward log prob,
-    reverse log prob).
+    Row c of ``u`` (one row per column but the last, which has no
+    candidates) holds column c's uniforms: direction, candidate and
+    acceptance; the kernel reads the first two.  Column c's candidates
+    are ``c+1 .. p-1``.  A direction uniform below 1/2 deletes a
+    uniformly chosen parent, otherwise a uniformly chosen absent
+    candidate is added; when only one direction exists it is taken with
+    probability 1.  Returns (toggled vertices, is_add, new parent tuples,
+    forward log probs, reverse log probs), one entry per column.
     """
-    nu = len(parents)
-    K = p - 1 - c
-    if nu == 0:
-        is_add = True
-        lqf = -math.log(K)
-    elif nu == K:
-        is_add = False
-        lqf = -math.log(nu)
-    elif rng.random() < 0.5:
-        is_add = False
-        lqf = _LOG_HALF - math.log(nu)
-    else:
-        is_add = True
-        lqf = _LOG_HALF - math.log(K - nu)
-    if is_add:
-        nu2 = nu + 1
-        base = c + 1
-        while True:  # uniform over absent candidates by rejection
-            j = base + int(rng.random() * K)
-            if j not in parents:
-                break
-        new_pa = tuple(sorted(parents + (j,)))
-        lqr = -math.log(nu2) if nu2 == K else _LOG_HALF - math.log(nu2)
-    else:
-        j = parents[int(rng.random() * nu)]
-        nu2 = nu - 1
-        new_pa = tuple(x for x in parents if x != j)
-        lqr = -math.log(K - nu2) if nu2 == 0 else _LOG_HALF - math.log(K - nu2)
-    return j, is_add, new_pa, lqf, lqr
+    m = u.shape[0]
+    nu = np.fromiter(map(len, parents[:m]), dtype=np.intp, count=m)
+    K = np.arange(m, 0, -1)
+    is_add = (nu == 0) | ((nu < K) & (u[:, 0] >= 0.5))
+    nu2 = np.where(is_add, nu + 1, nu - 1)
+    pool = np.where(is_add, K - nu, nu)  # candidates of the chosen direction
+    pool_r = np.where(is_add, nu2, K - nu2)
+    lqf = np.where((nu == 0) | (nu == K), 0.0, _LOG_HALF) - np.log(pool)
+    lqr = np.where((nu2 == 0) | (nu2 == K), 0.0, _LOG_HALF) - np.log(pool_r)
+    js = []
+    new_pa = []
+    picks = (u[:, 1] * pool).astype(np.intp).tolist()
+    for c, pa, add, k in zip(count(), parents, is_add.tolist(), picks):
+        if add:  # the k-th absent candidate, counted over the sorted parents
+            j = c + 1 + k
+            pos = 0
+            for x in pa:
+                if x > j:
+                    break
+                j += 1
+                pos += 1
+            new_pa.append(pa[:pos] + (j,) + pa[pos:] if pa else (j,))
+        else:
+            j = pa[k]
+            new_pa.append(pa[:k] + pa[k + 1 :])
+        js.append(j)
+    return js, is_add, new_pa, lqf, lqr
 
 
 # ---------------------------------------------------------------------------
@@ -199,7 +209,7 @@ class ChainState:
         dag = self.dag()
         # Wide ints: row-times-gamma neighbour counts must not wrap.
         self.G = adjacency(dag).astype(np.intp)
-        self.col_dlz = [engine.zcache.delta(c, pa) for c, pa in enumerate(self.parents)]
+        self.col_dlz = np.array(engine.zcache.deltas(range(p), self.parents))
         score = log_joint_score(self.gamma_arr, dag, engine.data, hyper, engine)
         self.mrf_log = score.log_gamma_prior
         self.dag_prior_log = score.log_dag_prior
@@ -207,7 +217,7 @@ class ChainState:
         self.marginal_log = score.log_marginal
         self.iteration = 0
         self.gamma_accepts = 0
-        self.col_accepts = [0] * max(p - 1, 0)
+        self.col_accepts = np.zeros(max(p - 1, 0), dtype=np.intp)
 
     def dag(self) -> Dag:
         return Dag(self.p, tuple(self.parents))
@@ -300,20 +310,22 @@ def _gamma_flip_parts(state: ChainState, k: int, adding: bool):
     return dmrf + (new_marg - state.marginal_log), new_active, new_marg, dmrf
 
 
-def _dag_delta(state: ChainState, c: int, j: int, is_add: bool, new_pa):
-    """Log posterior ratio of toggling candidate j in column c (kernel terms
-    excluded), with the new normalizer delta, edge-prior increment and
-    coupling increment to commit; (-inf, None, 0.0, 0.0) when the new
-    parent set reaches the complexity bound."""
-    if is_add and len(new_pa) >= state.R:
-        return -math.inf, None, 0.0, 0.0
-    dlz_new = state.engine.zcache.delta(c, new_pa)
-    dprior = state.dprior_add if is_add else -state.dprior_add
-    dmrf = 0.0
-    glist = state.gamma_list
-    if state.b2 != 0.0 and glist[c] and glist[j]:
-        dmrf = state.b2 if is_add else -state.b2
-    return dlz_new - state.col_dlz[c] + dprior + dmrf, dlz_new, dprior, dmrf
+def _column_deltas(state: ChainState, js: list[int], is_add: np.ndarray, new_pa):
+    """Log posterior ratio of each column's proposed toggle (kernel terms
+    excluded), with the new normalizer deltas, edge-prior increments and
+    coupling increments to commit; a column whose new parent set reaches
+    the complexity bound gets -inf and no normalizer lookup."""
+    m = len(new_pa)
+    is_open = np.fromiter(map(len, new_pa), dtype=np.intp, count=m) < state.R
+    dlz_new = np.full(m, -np.inf)
+    keep = is_open.tolist()
+    cols, sets = list(compress(range(m), keep)), list(compress(new_pa, keep))
+    dlz_new[is_open] = state.engine.zcache.deltas(cols, sets)
+    sign = np.where(is_add, 1.0, -1.0)
+    dprior = sign * state.dprior_add
+    g = state.gamma_arr
+    dmrf = sign * state.b2 * (g[:m] * g[js])  # both ends active
+    return dlz_new - state.col_dlz[:m] + dprior + dmrf, dlz_new, dprior, dmrf
 
 
 def _gamma_step(state: ChainState, stream) -> bool:
@@ -332,22 +344,24 @@ def _gamma_step(state: ChainState, stream) -> bool:
     return True
 
 
-def _column_step(state: ChainState, c: int, stream) -> int:
-    j, is_add, new_pa, lqf, lqr = _propose_in_column(state.parents[c], c, state.p, stream)
-    d, dlz_new, dprior, dmrf = _dag_delta(state, c, j, is_add, new_pa)
-    if dlz_new is None:
-        return 0  # prior bound: zero-probability proposal
+def _column_sweep(state: ChainState, u: np.ndarray) -> int:
+    """One move per column from the uniform block ``u`` (see
+    ``_propose_columns``); returns how many were accepted."""
+    js, is_add, new_pa, lqf, lqr = _propose_columns(state.parents, u)
+    d, dlz_new, dprior, dmrf = _column_deltas(state, js, is_add, new_pa)
     d += lqr - lqf
-    if not (d >= 0.0 or stream.random() < math.exp(d)):
-        return 0
-    state.col_accepts[c] += 1
-    state.parents[c] = new_pa
-    state.dlz_total += dlz_new - state.col_dlz[c]
-    state.col_dlz[c] = dlz_new
-    state.dag_prior_log += dprior
-    state.mrf_log += dmrf
-    state.G[c, j] = state.G[j, c] = 1 if is_add else 0
-    return 1
+    acc = np.flatnonzero((d >= 0.0) | (u[:, 2] < np.exp(np.minimum(d, 0.0))))
+    cols = acc.tolist()
+    for c in cols:
+        state.parents[c] = new_pa[c]
+    jj = [js[c] for c in cols]
+    state.G[acc, jj] = state.G[jj, acc] = is_add[acc]
+    state.dlz_total += float(np.sum(dlz_new[acc] - state.col_dlz[acc]))
+    state.col_dlz[acc] = dlz_new[acc]
+    state.dag_prior_log += float(np.sum(dprior[acc]))
+    state.mrf_log += float(np.sum(dmrf[acc]))
+    state.col_accepts[acc] += 1
+    return len(cols)
 
 
 def gibbs_sweep(state: ChainState, streams: ChainStreams) -> tuple[bool, int]:
@@ -357,10 +371,7 @@ def gibbs_sweep(state: ChainState, streams: ChainStreams) -> tuple[bool, int]:
     column moves were.
     """
     accepted_gamma = _gamma_step(state, streams.gamma)
-    n_col_accepts = 0
-    columns = streams.columns
-    for c in range(state.p - 1):
-        n_col_accepts += _column_step(state, c, columns[c])
+    n_col_accepts = _column_sweep(state, streams.columns.random((state.p - 1, 3)))
     state.iteration += 1
     return accepted_gamma, n_col_accepts
 
@@ -495,7 +506,7 @@ def run_chain(
         inclusion_probs=var_cum / kept,
         edge_probs=np.triu(edge_cum, 1) / kept,
         gamma_acceptance=state.gamma_accepts / control.iters,
-        dag_acceptance=np.array(state.col_accepts, dtype=float) / control.iters,
+        dag_acceptance=state.col_accepts / control.iters,
         seed=control.seed,
         iters=control.iters,
         burnin=control.burnin,

@@ -206,7 +206,7 @@ class PosteriorTable:
         for c, subs in enumerate(self.col_subsets):
             member = np.array([[j in s for j in range(p)] for s in subs], dtype=float)
             nu = member.sum(axis=1)
-            delta = np.array([engine.zcache.delta(c, s) for s in subs])
+            delta = np.array(engine.zcache.deltas([c] * len(subs), subs))
             terms = nu * log_q + (p - 1 - c - nu) * log_1mq + delta
             vals = terms + (2.0 * hyper.b) * (gam[:, [c]] * (gam @ member.T))
             lse += logsumexp(vals, axis=1)

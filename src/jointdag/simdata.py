@@ -152,8 +152,8 @@ class GroundTruth:
     def from_json(cls, text: str, source: str = "truth JSON") -> "GroundTruth":
         """Parse ``to_json`` output; malformed input raises DataError naming ``source``."""
         doc = read_json_object(text, source, ("p", "beta0", "gamma0", "sigma_eps2", "seed"))
-        p = int(doc["p"])
-        beta0 = np.asarray(doc["beta0"], dtype=float)
+        p = read_int(doc["p"], source, "p")
+        beta0 = read_numbers(doc["beta0"], source, "beta0", ndim=1)
         gamma0 = read_inclusion(doc["gamma0"], source, "gamma0")
         dag0 = None
         if doc.get("edges") is not None:
@@ -164,8 +164,8 @@ class GroundTruth:
             dag0=dag0,
             chol0=None,
             Sigma0=np.zeros((0, 0)),
-            sigma_eps2=float(doc["sigma_eps2"]),
-            seed=int(doc["seed"]),
+            sigma_eps2=float(read_numbers(doc["sigma_eps2"], source, "sigma_eps2")),
+            seed=read_int(doc["seed"], source, "seed"),
             condition_a=doc.get("condition_a"),
         )
 
@@ -183,6 +183,29 @@ def read_json_object(text: str, source: str, keys: tuple[str, ...]) -> dict:
         if key not in doc:
             raise DataError(f"{source}: missing key {key!r}")
     return doc
+
+
+def read_numbers(value, source: str, key: str, ndim: int = 0) -> np.ndarray:
+    """``value`` as a float array of ``ndim`` dimensions (0: one number,
+    1: a list of numbers) with every entry finite; anything else raises
+    DataError naming ``source`` and ``key``."""
+    what = "a finite number" if ndim == 0 else "a list of finite numbers"
+    try:
+        arr = np.asarray(value, dtype=float)
+    except (TypeError, ValueError):
+        raise DataError(f"{source}: {key} must be {what}") from None
+    if arr.ndim != ndim or not np.isfinite(arr).all():
+        raise DataError(f"{source}: {key} must be {what}")
+    return arr
+
+
+def read_int(value, source: str, key: str) -> int:
+    """``value`` as an integer; a non-integral or non-numeric value raises
+    DataError naming ``source`` and ``key``."""
+    x = float(read_numbers(value, source, key))
+    if not x.is_integer():
+        raise DataError(f"{source}: {key} must be an integer, got {value!r}")
+    return int(x)
 
 
 def read_inclusion(bits, source: str, key: str) -> np.ndarray:

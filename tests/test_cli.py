@@ -332,6 +332,34 @@ class TestFitEvaluate:
         assert err.startswith(f"error: {tmp_path / bad_file}: ") and message in err
 
 
+    @pytest.mark.parametrize(
+        "file,key,value,message",
+        [
+            ("truth.json", "sigma_eps2", "abc", "sigma_eps2 must be a finite number"),
+            ("truth.json", "sigma_eps2", float("inf"), "sigma_eps2 must be a finite number"),
+            ("truth.json", "p", 6.5, "p must be an integer"),
+            ("truth.json", "seed", None, "seed must be a finite number"),
+            ("truth.json", "beta0", [1.0, float("nan")] + [0.0] * 4, "beta0 must be a list"),
+            ("summary.json", "inclusion_probs", [2.0] + PROBS[1:], "inclusion_probs must lie in [0, 1]"),
+            ("summary.json", "inclusion_probs", [float("nan")] + PROBS[1:], "inclusion_probs must be a list"),
+            ("summary.json", "inclusion_probs", 0.5, "inclusion_probs must be a list"),
+        ],
+        ids=["sigma-abc", "sigma-inf", "p-fraction", "seed-null", "beta0-nan",
+             "probs-2", "probs-nan", "probs-scalar"],
+    )
+    def test_evaluate_bad_number_exits_2(self, sim, tmp_path, capsys, file, key, value, message):
+        doc = json.loads((sim / "truth.json").read_text())
+        probs = self.PROBS
+        if file == "truth.json":
+            doc[key] = value
+        else:
+            probs = value
+        (tmp_path / "truth.json").write_text(json.dumps(doc))
+        assert self._evaluate_main(sim, tmp_path, "110000", sim / "X.csv", probs) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {tmp_path / file}: {message}")
+
+
 class TestReplicate:
     def test_small_replicate_table(self, tmp_path):
         out = tmp_path / "rep"

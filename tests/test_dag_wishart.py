@@ -14,9 +14,8 @@ from jointdag import (
     posterior_params,
     reconstruct_precision,
 )
-from jointdag import dag_wishart
 from jointdag.dag_wishart import ColumnZDeltaCache, DagWishartParams, _log_z_column_raw
-from jointdag.errors import ImproperPriorError
+from jointdag.errors import ImproperPriorError, NotPositiveDefiniteError
 
 from oracles import dense_log_z, quadrature_normalization, random_cholesky_param, random_dag
 
@@ -241,7 +240,41 @@ class TestColumnZDeltaCache:
             total = sum(cache.delta(i, dag.parents[i]) for i in range(p))
             assert total == pytest.approx(direct, abs=1e-10)
 
-    @pytest.mark.parametrize("scale, per_miss", [("identity", 2), ("diagonal", 4)])
+    @pytest.mark.parametrize("scale", ["identity", "diagonal"])
+    def test_batch_matches_two_sided_difference(self, scale):
+        rng = np.random.default_rng(34)
+        p, n, offset, R = 30, 25, 10.0, 7
+        X = rng.standard_normal((n, p))
+        U = np.eye(p) if scale == "identity" else np.diag(np.linspace(0.5, 3.0, p))
+        U_post = U + X.T @ X
+        keys = list(dict.fromkeys(self._keys(rng, p, R - 1, 600)))
+        assert {len(pa) for _, pa in keys} == set(range(R))
+        vals = ColumnZDeltaCache(U, U_post, n, offset).deltas(*zip(*keys))
+        for (i, pa), val in zip(keys, vals):
+            a = len(pa) + offset
+            direct = _log_z_column_raw(U_post, i, pa, n + a) - _log_z_column_raw(U, i, pa, a)
+            assert abs(val - direct) <= 1e-10
+
+    @pytest.mark.parametrize("scale", ["identity", "diagonal"])
+    def test_batch_bit_identical_to_single_keys(self, scale):
+        rng = np.random.default_rng(35)
+        p, n = 20, 15
+        X = rng.standard_normal((n, p))
+        U = np.eye(p) if scale == "identity" else np.diag(np.linspace(0.5, 3.0, p))
+        keys = self._keys(rng, p, 6, 300)
+        batch = ColumnZDeltaCache(U, U + X.T @ X, n, 10.0).deltas(*zip(*keys))
+        single = ColumnZDeltaCache(U, U + X.T @ X, n, 10.0)
+        assert batch == [single.delta(i, pa) for i, pa in keys]
+
+    def test_batch_with_one_non_pd_block_raises(self):
+        p = 5
+        U_post = np.eye(p)
+        U_post[3, 4] = U_post[4, 3] = 2.0  # the (3, 4) block is indefinite
+        cache = ColumnZDeltaCache(np.eye(p), U_post, 4, 10.0)
+        with pytest.raises(NotPositiveDefiniteError):
+            cache.deltas([0, 3, 1], [(1,), (4,), (2,)])  # one stack of three blocks
+
+    @pytest.mark.parametrize("scale, per_miss", [("identity", 1), ("diagonal", 2)])
     def test_factorizations_per_miss(self, monkeypatch, scale, per_miss):
         rng = np.random.default_rng(33)
         p, n = 8, 12
@@ -249,12 +282,13 @@ class TestColumnZDeltaCache:
         U = np.eye(p) if scale == "identity" else np.diag(np.linspace(0.5, 3.0, p))
         cache = ColumnZDeltaCache(U, U + X.T @ X, n, 10.0)
         cache.delta(0, (1, 2))  # fills the identity prior memo for two parents
-        shapes = []
-        logdet = dag_wishart._logdet_pd
+        blocks = []
+        cholesky = np.linalg.cholesky
         monkeypatch.setattr(
-            dag_wishart, "_logdet_pd", lambda block: shapes.append(block.shape) or logdet(block)
+            np.linalg, "cholesky", lambda a: blocks.append(a.shape[:-2]) or cholesky(a)
         )
         cache.delta(3, (4, 6))
-        assert len(shapes) == per_miss
+        assert [math.prod(b) for b in blocks] == [1] * per_miss
         cache.delta(3, (4, 6))  # a hit factors nothing
-        assert len(shapes) == per_miss
+        cache.deltas([1, 2, 1, 3], [(2, 5), (3, 7), (2, 5), (4, 6)])
+        assert sum(math.prod(b) for b in blocks) == 3 * per_miss

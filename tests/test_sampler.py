@@ -22,9 +22,9 @@ from jointdag import (
 from jointdag.errors import InitializationError, InternalConsistencyError
 from jointdag.sampler import (
     ChainStreams,
-    _dag_delta,
+    _column_deltas,
     _gamma_flip_parts,
-    _propose_in_column,
+    _propose_columns,
     check_state_consistency,
 )
 from jointdag.scoring import PosteriorTable
@@ -40,6 +40,18 @@ class FakeRng:
 
     def random(self):
         return self.values.pop(0)
+
+
+class BlockRecorder:
+    """Column stream that records the shape of every block drawn."""
+
+    def __init__(self, gen):
+        self.gen = gen
+        self.shapes = []
+
+    def random(self, shape):
+        self.shapes.append(shape)
+        return self.gen.random(shape)
 
 
 def chain_data(rng, n=40, p=4):
@@ -63,17 +75,36 @@ def _force_gamma_move(gamma, k):
     return move
 
 
-def _force_column_move(parents, c, j, p):
-    """Drive the column kernel so that it toggles exactly candidate j."""
-    nu = len(parents)
-    K = p - 1 - c
-    deleting = j in parents
-    draws = [0.25 if deleting else 0.75] if 0 < nu < K else []
-    draws.append((parents.index(j) + 0.5) / nu if deleting else (j - c - 1 + 0.5) / K)
-    rng = FakeRng(draws)
-    move = _propose_in_column(parents, c, p, rng)
-    assert move[:2] == (j, not deleting) and move[2] != parents and rng.values == []
+def _column_row(parents, c, j, p):
+    """Uniforms (direction, candidate, acceptance) that make column c's
+    kernel toggle candidate j."""
+    if j in parents:
+        return 0.25, (parents.index(j) + 0.5) / len(parents), 0.5
+    absent = [x for x in range(c + 1, p) if x not in parents]
+    return 0.75, (absent.index(j) + 0.5) / len(absent), 0.5
+
+
+def _force_column_moves(parents, targets):
+    """Drive _propose_columns so that column c toggles candidate targets[c]."""
+    p = len(parents)
+    u = np.array([_column_row(parents[c], c, j, p) for c, j in enumerate(targets)])
+    move = _propose_columns(list(parents), u)
+    js, is_add, new_pa = move[:3]
+    assert js == list(targets)
+    for c, j in enumerate(targets):
+        assert is_add[c] == (j not in parents[c])
+        assert new_pa[c] == tuple(sorted(set(parents[c]) ^ {j}))
     return move
+
+
+def _force_column_move(parents, c, j, p):
+    """Column c's (is_add, new parent tuple, lqf, lqr) when its kernel
+    toggles j, the other columns of a p-vertex graph being empty."""
+    cols = [()] * p
+    cols[c] = parents
+    targets = [j if k == c else k + 1 for k in range(p - 1)]
+    _, is_add, new_pa, lqf, lqr = _force_column_moves(cols, targets)
+    return bool(is_add[c]), new_pa[c], float(lqf[c]), float(lqr[c])
 
 
 class TestProposeGamma:
@@ -123,27 +154,29 @@ class TestProposeDagColumn:
         counts = Counter()
         rng = np.random.default_rng(1)
         for _ in range(4000):
-            _, is_add, new_pa, lqf, _ = _propose_in_column((), 0, 3, rng)
-            counts[new_pa] += 1
-            assert is_add
-            assert lqf == pytest.approx(math.log(0.5))  # forced add among {1, 2}
+            _, is_add, new_pa, lqf, _ = _propose_columns([(), (), ()], rng.random((2, 3)))
+            counts[new_pa[0]] += 1
+            assert is_add[0]
+            assert lqf[0] == pytest.approx(math.log(0.5))  # forced add among {1, 2}
         assert abs(counts[(1,)] - 2000) < 3 * math.sqrt(4000 * 0.25)
 
     def test_forced_delete(self):
-        _, is_add, new_pa, lqf, _ = _propose_in_column((1, 2), 0, 3, FakeRng([0.0]))
-        assert not is_add and len(new_pa) == 1
-        assert lqf == pytest.approx(math.log(0.5))
+        u = np.array([[0.9, 0.0, 0.5], [0.5, 0.5, 0.5]])
+        _, is_add, new_pa, lqf, _ = _propose_columns([(1, 2), (), ()], u)
+        assert not is_add[0] and new_pa[0] == (2,)
+        assert lqf[0] == pytest.approx(math.log(0.5))
 
     def test_last_column_noop(self):
-        # The last vertex can have no parents, so a sweep makes no move
-        # there and never draws from its stream.
+        # The last vertex can have no parents, so each sweep's block has
+        # one row per other column and the last column never moves.
         data = chain_data(np.random.default_rng(12), n=25, p=3)
         state = init_state(data, Hyperparameters(), init="corr")
         streams = ChainStreams(3, 3)
-        streams.columns[2] = FakeRng([])  # any draw raises IndexError
+        streams.columns = BlockRecorder(streams.columns)
         for _ in range(200):
             gibbs_sweep(state, streams)
-        assert state.parents[2] == () and len(state.col_accepts) == 2
+            assert state.parents[2] == ()
+        assert streams.columns.shapes == [(2, 3)] * 200 and len(state.col_accepts) == 2
 
     def test_reversibility_exhaustive_p4(self):
         # For every column state and every toggle, the forward log kernel
@@ -158,10 +191,10 @@ class TestProposeDagColumn:
                 for S in itertools.combinations(cands, r):
                     for j in cands:
                         fwd = _force_column_move(S, c, j, p)
-                        back = _force_column_move(fwd[2], c, j, p)
-                        assert back[2] == S
-                        assert fwd[3] == back[4]  # q(S'|S) both ways
-                        assert fwd[4] == back[3]
+                        back = _force_column_move(fwd[1], c, j, p)
+                        assert back[1] == S
+                        assert fwd[2] == back[3]  # q(S'|S) both ways
+                        assert fwd[3] == back[2]
 
 
 class TestFlipRatios:
@@ -195,12 +228,14 @@ class TestFlipRatios:
             gamma = np.array([1, 1, 0, 0], dtype=np.int8)
             state = init_state(data, hyper, init=(gamma, dag))
             base = log_joint_score(gamma, dag, data, hyper, state.engine).log_score
-            for c in range(3):
-                for j in range(c + 1, 4):
-                    _, is_add, new_pa, _, _ = _force_column_move(dag.parents[c], c, j, 4)
-                    flipped = Dag(4, dag.parents[:c] + (new_pa,) + dag.parents[c + 1 :])
+            for t in range(3):
+                targets = [c + 1 + t % (3 - c) for c in range(3)]
+                js, is_add, new_pa, _, _ = _force_column_moves(dag.parents, targets)
+                delta = _column_deltas(state, js, is_add, new_pa)[0]
+                for c in range(3 - t):
+                    flipped = Dag(4, dag.parents[:c] + (new_pa[c],) + dag.parents[c + 1 :])
                     full = log_joint_score(gamma, flipped, data, hyper, state.engine).log_score - base
-                    assert _dag_delta(state, c, j, is_add, new_pa)[0] == pytest.approx(full, abs=1e-10)
+                    assert delta[c] == pytest.approx(full, abs=1e-10)
 
     def test_acceptance_ratio_against_two_full_scores(self):
         rng = np.random.default_rng(4)
@@ -265,15 +300,19 @@ class TestDetailedBalance:
             # The scripted moves are every move: the forward probabilities sum
             # to one over the gamma moves and over each column's moves.
             assert math.fsum(math.exp(m[1]) for m in moves) == pytest.approx(1.0, abs=1e-12)
-            for c in range(p - 1):
-                start = len(moves)
-                for j in range(c + 1, p):
-                    _, is_add, new_pa, lqf, lqr = _force_column_move(dag.parents[c], c, j, p)
-                    delta = _dag_delta(state, c, j, is_add, new_pa)[0]
-                    parents = dag.parents[:c] + (new_pa,) + dag.parents[c + 1 :]
-                    moves.append(((x[0], parents), lqf, lqr, delta))
-                col = moves[start:]
+            # Scripted block t toggles candidate c + 1 + t of every column c
+            # that has one, so the blocks t < p - 1 reach every column move once.
+            col_moves = [[] for _ in range(p - 1)]
+            for t in range(p - 1):
+                targets = [c + 1 + t % (p - 1 - c) for c in range(p - 1)]
+                js, is_add, new_pa, lqf, lqr = _force_column_moves(dag.parents, targets)
+                delta = _column_deltas(state, js, is_add, new_pa)[0]
+                for c in range(p - 1 - t):
+                    parents = dag.parents[:c] + (new_pa[c],) + dag.parents[c + 1 :]
+                    col_moves[c].append(((x[0], parents), lqf[c], lqr[c], delta[c]))
+            for col in col_moves:
                 assert math.fsum(math.exp(m[1]) for m in col) == pytest.approx(1.0, abs=1e-12)
+                moves += col
             for y, lqf, lqr, delta in moves:
                 if y not in log_pi:
                     assert delta == -math.inf  # outside the complexity bound
