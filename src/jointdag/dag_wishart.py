@@ -30,6 +30,7 @@ if TYPE_CHECKING:  # pragma: no cover
 
 _LOG_2 = math.log(2.0)
 _LOG_PI = math.log(math.pi)
+_SCALE = "scale submatrix"
 
 
 @dataclass(frozen=True)
@@ -54,22 +55,35 @@ class DagWishartParams:
         return self.U.shape[0]
 
 
-def _logdet_pairs(M: np.ndarray, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Log determinants of ``M[pa, pa]`` and ``M[pa + (i,), pa + (i,)]`` for
-    each row ``pa + (i,)`` of the integer array ``idx`` (all rows of one
-    length).
+def _chol_diagonals(M: np.ndarray, idx: np.ndarray, name: str) -> np.ndarray:
+    """Diagonals of the Cholesky factors of ``M[row, row]`` for each row of
+    the integer array ``idx`` (all rows of one length), as one array.
 
-    One stacked Cholesky factors every ``pa + (i,)`` block; the factor of
-    the leading ``pa`` block is its leading corner, so the two log
-    determinants are twice the sum of the log diagonal without and with
-    its last term.  The determinant of an empty block is 1.
+    One stacked Cholesky factors every block.  A block that is not
+    positive definite raises NotPositiveDefiniteError naming ``M`` by
+    ``name``.
     """
     blocks = M[idx[:, :, np.newaxis], idx[:, np.newaxis, :]]
     try:
         chol = np.linalg.cholesky(blocks)
     except np.linalg.LinAlgError as exc:
-        raise NotPositiveDefiniteError("scale submatrix is not positive definite") from exc
-    log_diag = np.log(np.diagonal(chol, axis1=1, axis2=2))
+        raise NotPositiveDefiniteError(f"{name} is not positive definite") from exc
+    return np.diagonal(chol, axis1=1, axis2=2)
+
+
+def _logdet_pairs(
+    M: np.ndarray, idx: np.ndarray, name: str
+) -> tuple[np.ndarray, np.ndarray]:
+    """Log determinants of ``M[pa, pa]`` and ``M[pa + (i,), pa + (i,)]`` for
+    each row ``pa + (i,)`` of the integer array ``idx`` (all rows of one
+    length).
+
+    The factor of the leading ``pa`` block is the leading corner of the
+    factor of the ``pa + (i,)`` block, so the two log determinants are
+    twice the sum of the log diagonal without and with its last term.
+    The determinant of an empty block is 1.
+    """
+    log_diag = np.log(_chol_diagonals(M, idx, name))
     half_gt = log_diag[:, :-1].sum(axis=1)
     return 2.0 * half_gt, 2.0 * (half_gt + log_diag[:, -1])
 
@@ -90,7 +104,7 @@ def _log_z_column_raw(U: np.ndarray, i: int, parents: tuple[int, ...], alpha_i: 
         raise ImproperPriorError(
             f"vertex {i}: alpha - nu = {alpha_i - nu} but must exceed 2"
         )
-    ld_gt, ld_ge = _logdet_pairs(U, np.array([parents + (i,)], dtype=np.intp))
+    ld_gt, ld_ge = _logdet_pairs(U, np.array([parents + (i,)], dtype=np.intp), _SCALE)
     return float(_log_z_terms(alpha_i, nu, ld_gt[0], ld_ge[0]))
 
 
@@ -183,9 +197,9 @@ class ColumnZDeltaCache:
         for nu, group in groups.items():
             idx = np.array([pa + (i,) for i, pa in group], dtype=np.intp)
             a_prior = nu + self.offset
-            vals = _log_z_terms(self.n + a_prior, nu, *_logdet_pairs(self.U_post, idx))
+            vals = _log_z_terms(self.n + a_prior, nu, *_logdet_pairs(self.U_post, idx, _SCALE))
             if by_nu is None:
-                vals -= _log_z_terms(a_prior, nu, *_logdet_pairs(self.U, idx))
+                vals -= _log_z_terms(a_prior, nu, *_logdet_pairs(self.U, idx, _SCALE))
             else:
                 prior = by_nu.get(nu)
                 if prior is None:

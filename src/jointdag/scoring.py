@@ -22,12 +22,11 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import logsumexp
 
-from .dag_wishart import ColumnZDeltaCache
+from .dag_wishart import ColumnZDeltaCache, _chol_diagonals
 from .errors import DimensionError, EnumerationLimitError
 from .graphs import Dag, adjacency, log_prior_dag
 from .simdata import Dataset
 from .spike_slab import Hyperparameters, log_mrf_prior
-from .spike_slab import _log_marginal_from_stats
 
 
 @dataclass(frozen=True)
@@ -55,6 +54,34 @@ class ScoreEngine:
     depends on ``a``, ``b``, ``q`` or ``R``, which every caller takes
     from its own Hyperparameters, so chains that differ only in those
     share one engine (both chains of a ``replicate`` do).
+
+    The integrated likelihood of the model g with k selected columns
+    Xg integrates the slab coefficients out of Y ~ N(Xg beta, sigma2 I),
+    beta ~ N(0, tau2 sigma2 I), which leaves Y ~ N(0, sigma2 (I_n + tau2
+    Xg Xg')).  Up to model-independent constants its log is
+
+        -logdet/2 - quad / (2 sigma2)                   (known sigma2)
+        -logdet/2 - (n/2 + a0) log(b0 + quad/2)         (sigma2 ~ IG(a0, b0))
+
+    with the n-dimensional terms taken in k dimensions: Sylvester's
+    identity gives logdet = log det(I_n + tau2 Xg Xg') = log det(M) for
+    M = I_k + tau2 Xg'Xg, and the Woodbury identity gives quad =
+    Y'(I_n + tau2 Xg Xg')^-1 Y = Y'Y - tau2 Y'Xg M^-1 Xg'Y.  Both come
+    from one Cholesky factor of a block of the augmented Gram matrix
+
+        A = [[I_p + tau2 X'X, tau X'Y],
+             [tau Y'X,        Y'Y    ]]
+
+    on the rows g + (p,): the factor of its leading block M gives logdet,
+    and the block's last pivot squared is the Schur complement of M,
+    which is quad.  Reading quad off the pivot, not as a difference of
+    two log determinants, keeps its relative rounding error near 1e-16.
+    ``marginals`` groups its misses by k and factors each group with one
+    stacked Cholesky, the kernel of the normalizer's ``_logdet_pairs``.
+
+    When Y'Y = 0, X'Y = 0 too and every quad is 0, but A's last row is
+    zero, so no block is positive definite.  A[p, p] then holds 1: every
+    last pivot is exactly 1, and quad is that pivot squared less 1.
     """
 
     def __init__(self, data: Dataset, hyper: Hyperparameters):
@@ -67,6 +94,12 @@ class ScoreEngine:
         self.memo_inputs = _memo_inputs(hyper)
         self.zcache = ColumnZDeltaCache(self.U, self.U + data.gram, data.n, hyper.alpha_offset)
         self._marginal_memo: dict[tuple[int, ...], float] = {}
+        self._quad_pad = 1.0 if data.yty == 0.0 else 0.0
+        A = np.empty((p + 1, p + 1))
+        A[:p, :p] = hyper.tau2 * data.gram + np.eye(p)
+        A[:p, p] = A[p, :p] = math.sqrt(hyper.tau2) * data.xty
+        A[p, p] = data.yty + self._quad_pad
+        self._A = A
 
     def _scale(self, hyper: Hyperparameters) -> np.ndarray:
         return np.asarray(hyper.U if hyper.U is not None else np.eye(self.p), dtype=float)
@@ -86,21 +119,42 @@ class ScoreEngine:
         """Sizes of the normalizer and likelihood memos."""
         return {"normalizer": len(self.zcache), "marginal": len(self._marginal_memo)}
 
+    def _fill(self, sets) -> None:
+        """Compute and memoize the integrated likelihoods of the active
+        index tuples ``sets``, none of them memoized."""
+        groups: dict[int, list] = {}
+        for s in sets:
+            groups.setdefault(len(s), []).append(s)
+        _, sigma2, a0, b0, _ = self.memo_inputs
+        last = (self.p,)
+        for group in groups.values():
+            idx = np.array([s + last for s in group], dtype=np.intp)
+            diag = _chol_diagonals(self._A, idx, "likelihood matrix")
+            logdet = 2.0 * np.log(diag[:, :-1]).sum(axis=1)
+            quad = diag[:, -1] ** 2 - self._quad_pad
+            if sigma2 is not None:
+                vals = -0.5 * logdet - quad / (2.0 * sigma2)
+            else:
+                vals = -0.5 * logdet - 0.5 * (self.data.n + 2.0 * a0) * np.log(b0 + 0.5 * quad)
+            self._marginal_memo.update(zip(group, vals.tolist()))
+
+    def marginals(self, sets) -> list[float]:
+        """Integrated response likelihoods of the active index tuples in the
+        sequence ``sets``, in order; every miss among them is computed in
+        one ``_fill``."""
+        memo = self._marginal_memo
+        vals = list(map(memo.get, sets))
+        if None in vals:
+            self._fill(dict.fromkeys(s for s, v in zip(sets, vals) if v is None))
+            vals = list(map(memo.__getitem__, sets))
+        return vals
+
     def marginal(self, active: tuple[int, ...]) -> float:
         """Integrated response likelihood for the given active index tuple."""
         val = self._marginal_memo.get(active)
         if val is None:
-            data = self.data
-            if active:
-                idx = np.fromiter(active, dtype=np.intp, count=len(active))
-                gram = data.gram[np.ix_(idx, idx)]
-                xty = data.xty[idx]
-            else:
-                gram = np.zeros((0, 0))
-                xty = np.zeros(0)
-            tau2, sigma2, a0, b0, _ = self.memo_inputs
-            val = _log_marginal_from_stats(gram, xty, data.yty, data.n, tau2, sigma2, a0, b0)
-            self._marginal_memo[active] = val
+            self._fill((active,))
+            val = self._marginal_memo[active]
         return val
 
 
@@ -188,10 +242,8 @@ class PosteriorTable:
         ]
         self._gamma_index = {g: k for k, g in enumerate(self.gammas)}
         self._gam = gam = np.array(self.gammas, dtype=float)
-        self._gamma_base = np.array(
-            [-hyper.a * sum(g) + engine.marginal(tuple(j for j in range(p) if g[j]))
-             for g in self.gammas]
-        )
+        actives = [tuple(j for j in range(p) if g[j]) for g in self.gammas]
+        self._gamma_base = -hyper.a * gam.sum(axis=1) + np.array(engine.marginals(actives))
 
         # Per column: admissible parent sets (lexicographic, rows of member)
         # and the score of each (gamma, parent set) pair: edge prior plus

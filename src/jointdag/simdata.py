@@ -155,9 +155,12 @@ class GroundTruth:
         p = read_int(doc["p"], source, "p")
         beta0 = read_numbers(doc["beta0"], source, "beta0", ndim=1)
         gamma0 = read_inclusion(doc["gamma0"], source, "gamma0")
+        for key, arr in (("beta0", beta0), ("gamma0", gamma0)):
+            if arr.shape[0] != p:
+                raise DataError(f"{source}: {key} has {arr.shape[0]} entries but p = {p}")
         dag0 = None
         if doc.get("edges") is not None:
-            dag0 = Dag.from_edges(p, [(c - 1, j - 1) for c, j in doc["edges"]])
+            dag0 = Dag.from_edges(p, read_edges(doc["edges"], p, source, "edges"))
         return cls(
             beta0=beta0,
             gamma0=gamma0,
@@ -214,6 +217,20 @@ def read_inclusion(bits, source: str, key: str) -> np.ndarray:
     if not (isinstance(bits, str) and bits and set(bits) <= {"0", "1"}):
         raise DataError(f"{source}: {key} must be a non-empty string of 0s and 1s")
     return np.array([int(ch) for ch in bits], dtype=np.int8)
+
+
+def read_edges(value, p: int, source: str, key: str) -> list[tuple[int, int]]:
+    """``value`` as a list of [child, parent] pairs of 1-based vertex
+    numbers with child < parent <= p, returned 0-based; any other value
+    raises DataError naming ``source`` and ``key``."""
+    what = f"a list of [child, parent] integer pairs with 1 <= child < parent <= {p}"
+    if not isinstance(value, list):
+        raise DataError(f"{source}: {key} must be {what}")
+    for pair in value:
+        ok = isinstance(pair, list) and len(pair) == 2 and all(type(v) is int for v in pair)
+        if not (ok and 1 <= pair[0] < pair[1] <= p):
+            raise DataError(f"{source}: {key} must be {what}, got {pair!r}")
+    return [(c - 1, j - 1) for c, j in value]
 
 
 def _active_network_closed(gamma: np.ndarray, dag: Dag) -> bool:

@@ -1,11 +1,11 @@
-"""Variable-inclusion prior and the integrated response likelihood.
+"""Model constants and the variable-inclusion prior.
 
 An inclusion vector gamma selects columns of the design matrix.  Its
 prior couples to the covariate graph through an Ising-type energy
 ``-a * sum(gamma) + b * gamma' G gamma`` truncated at the complexity
-bound.  Coefficients carry a Gaussian slab with variance tau2 * sigma2
-and integrate out in closed form, either with known noise variance or
-under an inverse-gamma noise prior.
+bound.  Coefficients carry a Gaussian slab with variance tau2 * sigma2,
+either with known noise variance or under an inverse-gamma noise prior;
+``scoring.ScoreEngine`` integrates them out.
 """
 
 from __future__ import annotations
@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
 from .cholesky import spd_cholesky
 
@@ -92,35 +91,3 @@ def log_mrf_prior(gamma: np.ndarray, G: np.ndarray, hyper: Hyperparameters) -> f
     if size >= hyper.effective_R(p):
         return -math.inf
     return -hyper.a * size + hyper.b * float(g @ G @ g)
-
-
-def _log_marginal_from_stats(
-    gram: np.ndarray,
-    xty: np.ndarray,
-    yty: float,
-    n: int,
-    tau2: float,
-    sigma2: float | None,
-    a0: float,
-    b0: float,
-) -> float:
-    """Log likelihood of Y with the selected coefficients integrated out,
-    from the Gram statistics Xg'Xg, Xg'Y and Y'Y of the k selected
-    columns; ``sigma2 = None`` is the unknown-variance model.
-    Model-independent constants are dropped; the n-dimensional
-    determinant and quadratic form are taken in k dimensions through
-    det(I_n + tau2 Xg Xg') = det(I_k + tau2 Xg'Xg) and the Woodbury
-    identity.
-    """
-    k = gram.shape[0]
-    if k == 0:
-        logdet = 0.0
-        quad = yty
-    else:
-        M = tau2 * gram + np.eye(k)
-        chol = cho_factor(M, lower=True)
-        logdet = 2.0 * float(np.sum(np.log(np.diag(chol[0]))))
-        quad = yty - tau2 * float(xty @ cho_solve(chol, xty))
-    if sigma2 is not None:
-        return -0.5 * logdet - quad / (2.0 * sigma2)
-    return -0.5 * logdet - 0.5 * (n + 2.0 * a0) * math.log(b0 + 0.5 * quad)

@@ -340,11 +340,20 @@ class TestFitEvaluate:
             ("truth.json", "p", 6.5, "p must be an integer"),
             ("truth.json", "seed", None, "seed must be a finite number"),
             ("truth.json", "beta0", [1.0, float("nan")] + [0.0] * 4, "beta0 must be a list"),
+            ("truth.json", "beta0", [1.0, 0.5], "beta0 has 2 entries but p = 6"),
+            ("truth.json", "gamma0", "11000", "gamma0 has 5 entries but p = 6"),
+            ("truth.json", "edges", [[3, 7]], "edges must be a list of [child, parent]"),
+            ("truth.json", "edges", [["a", 1]], "edges must be a list of [child, parent]"),
+            ("truth.json", "edges", [[2, 1]], "edges must be a list of [child, parent]"),
+            ("truth.json", "edges", [[1, 2, 3]], "edges must be a list of [child, parent]"),
+            ("truth.json", "edges", "1-2", "edges must be a list of [child, parent]"),
             ("summary.json", "inclusion_probs", [2.0] + PROBS[1:], "inclusion_probs must lie in [0, 1]"),
             ("summary.json", "inclusion_probs", [float("nan")] + PROBS[1:], "inclusion_probs must be a list"),
             ("summary.json", "inclusion_probs", 0.5, "inclusion_probs must be a list"),
         ],
         ids=["sigma-abc", "sigma-inf", "p-fraction", "seed-null", "beta0-nan",
+             "beta0-short", "gamma0-short", "edge-out-of-range", "edge-not-int",
+             "edge-child-above-parent", "edge-triple", "edges-string",
              "probs-2", "probs-nan", "probs-scalar"],
     )
     def test_evaluate_bad_number_exits_2(self, sim, tmp_path, capsys, file, key, value, message):

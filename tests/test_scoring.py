@@ -185,9 +185,8 @@ class TestEnumeratePosterior:
         t1 = enumerate_posterior(data, h)
 
         engine = ScoreEngine(data, h)
-        orig = engine.marginal
-        engine._marginal_memo = {}
-        engine.marginal = lambda active: orig(active) + 123.456  # type: ignore[method-assign]
+        orig = engine.marginals
+        engine.marginals = lambda sets: [v + 123.456 for v in orig(sets)]  # type: ignore[method-assign]
         from jointdag.scoring import PosteriorTable
 
         t2 = PosteriorTable(data, h, engine)

@@ -1,10 +1,20 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
 
-from jointdag import Dataset, Hyperparameters, ScoreEngine, adjacency, log_mrf_prior
+from jointdag import (
+    Dag,
+    Dataset,
+    Hyperparameters,
+    ScoreEngine,
+    adjacency,
+    log_joint_score,
+    log_mrf_prior,
+)
 from jointdag.errors import DimensionError, NotPositiveDefiniteError
+from jointdag.scoring import PosteriorTable
 
 from oracles import random_dag
 
@@ -171,3 +181,69 @@ class TestLogMarginalLikelihood:
             big = np.linalg.slogdet(np.eye(n) + tau2 * Xg @ Xg.T)[1]
             small = np.linalg.slogdet(np.eye(k) + tau2 * Xg.T @ Xg)[1]
             assert big == pytest.approx(small, rel=1e-10, abs=1e-12)
+
+
+@pytest.fixture
+def design6():
+    rng = np.random.default_rng(7)
+    X = rng.standard_normal((9, 6))
+    X[:, 0] += 0.8 * X[:, 1]
+    return Dataset(X, X[:, :2] @ np.array([1.2, -0.75]) + rng.standard_normal(9))
+
+
+class TestMarginalBatch:
+    @pytest.mark.parametrize("sigma2", [None, 1.5])
+    def test_every_subset_matches_dense(self, design6, sigma2):
+        h = Hyperparameters(sigma2=sigma2)
+        sets = [s for k in range(7) for s in itertools.combinations(range(6), k)]
+        vals = ScoreEngine(design6, h).marginals(sets)
+        for s, val in zip(sets, vals):
+            dense = dense_marginal(design6.Y, design6.X[:, list(s)], h)
+            assert val == pytest.approx(dense, rel=1e-10), s
+
+    def test_batch_bit_identical_to_single_keys(self, design6):
+        h = Hyperparameters()
+        sets = [(0, 2), (), (1, 3, 5), (0, 2), (4,), tuple(range(6)), (2, 3)]
+        batch = ScoreEngine(design6, h).marginals(sets)
+        one = ScoreEngine(design6, h)
+        assert batch == [one.marginal(s) for s in sets]
+        assert one.memo_entries()["marginal"] == 6
+
+    @pytest.mark.parametrize("sigma2", [None, 1.5])
+    def test_zero_response_is_leading_block_only(self, design6, sigma2):
+        # Y = 0 makes the augmented Gram matrix's last row zero; every
+        # quadratic form is 0 and only log det(I + tau2 Xg'Xg) remains.
+        h = Hyperparameters(tau2=0.7, sigma2=sigma2)
+        data = Dataset(design6.X, np.zeros(design6.n))
+        sets = [(), (3,), (0, 1, 4), tuple(range(6))]
+        for s, val in zip(sets, ScoreEngine(data, h).marginals(sets)):
+            idx = list(s)
+            logdet = np.linalg.slogdet(np.eye(len(s)) + h.tau2 * data.gram[np.ix_(idx, idx)])[1]
+            expect = -0.5 * logdet
+            if sigma2 is None:
+                expect -= 0.5 * (data.n + 2.0 * h.a0) * math.log(h.b0)
+            assert val == pytest.approx(expect, rel=1e-12, abs=1e-12)
+
+    def test_table_factors_marginals_once_per_size(self, design6, monkeypatch):
+        h = Hyperparameters()
+        engine = ScoreEngine(design6, h)
+        PosteriorTable(design6, h, engine)  # fills both memos
+        engine._marginal_memo.clear()
+        blocks = []
+        cholesky = np.linalg.cholesky
+        monkeypatch.setattr(
+            np.linalg, "cholesky", lambda a: blocks.append(a.shape) or cholesky(a)
+        )
+        PosteriorTable(design6, h, engine)
+        # Sizes 0..5 lie below the default bound R = p = 6.
+        assert sorted(blocks, key=lambda b: b[1]) == [(math.comb(6, k), k + 1, k + 1) for k in range(6)]
+
+    def test_non_pd_likelihood_block_named(self):
+        # tau2 = 1e20 and Y = X: the Schur complement 1 - (1e10 / 1e10)^2 is
+        # exactly 0 in floating point, so the augmented block is singular.
+        data = Dataset(np.ones((1, 1)), np.ones(1))
+        h = Hyperparameters(tau2=1e20, R=2)
+        with pytest.raises(NotPositiveDefiniteError, match="^likelihood matrix is not positive"):
+            ScoreEngine(data, h).marginal((0,))
+        with pytest.raises(NotPositiveDefiniteError, match=r"^\[log_marginal\] likelihood matrix"):
+            log_joint_score(np.ones(1), Dag.empty(1), data, h)
