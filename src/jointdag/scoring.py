@@ -20,7 +20,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .dag_wishart import ColumnZDeltaCache, _chol_diagonals
 from .errors import DimensionError, EnumerationLimitError
@@ -205,6 +204,12 @@ def log_joint_score(
     )
 
 
+def _logsumexp(vals: np.ndarray, top) -> np.ndarray:
+    """log(sum(exp(vals))) over the last axis, given its maximum ``top``
+    (one per row); every entry of ``vals`` is finite."""
+    return top + np.log(np.exp(vals - np.expand_dims(top, -1)).sum(axis=-1))
+
+
 def _lex_subsets(candidates: range, max_size: int) -> list[tuple[int, ...]]:
     """All subsets with fewer than max_size elements, sorted so that the
     resulting edge lists compare lexicographically."""
@@ -261,12 +266,13 @@ class PosteriorTable:
             delta = np.array(engine.zcache.deltas([c] * len(subs), subs))
             terms = nu * log_q + (p - 1 - c - nu) * log_1mq + delta
             vals = terms + (2.0 * hyper.b) * (gam[:, [c]] * (gam @ member.T))
-            lse += logsumexp(vals, axis=1)
-            mx += vals.max(axis=1)
+            top = vals.max(axis=1)
+            lse += _logsumexp(vals, top)
+            mx += top
             best_cols.append(vals.argmax(axis=1))  # first maximum: lexicographically smallest
             self._col_scores.append(vals)
         self._gamma_lse = lse
-        self.log_normalizer = float(logsumexp(lse))
+        self.log_normalizer = float(_logsumexp(lse, lse.max()))
         k = int(np.argmax(mx))  # first maximum, as for the parent sets
         self.argmax_gamma = np.array(self.gammas[k], dtype=np.int8)
         self.argmax_dag = Dag(p, tuple(subs[b[k]] for subs, b in zip(self.col_subsets, best_cols)))
