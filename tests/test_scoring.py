@@ -186,7 +186,11 @@ class TestEnumeratePosterior:
 
         engine = ScoreEngine(data, h)
         orig = engine.marginals
-        engine.marginals = lambda sets: [v + 123.456 for v in orig(sets)]  # type: ignore[method-assign]
+
+        def shifted(sets):
+            return [v + 123.456 for v in orig(sets)]
+
+        engine.marginals = shifted  # type: ignore[method-assign]
         from jointdag.scoring import PosteriorTable
 
         t2 = PosteriorTable(data, h, engine)

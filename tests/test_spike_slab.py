@@ -236,7 +236,8 @@ class TestMarginalBatch:
         )
         PosteriorTable(design6, h, engine)
         # Sizes 0..5 lie below the default bound R = p = 6.
-        assert sorted(blocks, key=lambda b: b[1]) == [(math.comb(6, k), k + 1, k + 1) for k in range(6)]
+        expect = [(math.comb(6, k), k + 1, k + 1) for k in range(6)]
+        assert sorted(blocks, key=lambda b: b[1]) == expect
 
     def test_non_pd_likelihood_block_named(self):
         # tau2 = 1e20 and Y = X: the Schur complement 1 - (1e10 / 1e10)^2 is
