@@ -65,7 +65,7 @@ class ChainStreams:
     """Independent random streams: one for the inclusion vector and one
     for the column moves, from which each sweep draws one block."""
 
-    def __init__(self, seed: int, p: int):
+    def __init__(self, seed: int):
         kids = np.random.SeedSequence(seed).spawn(2)
         self.gamma = _Stream(kids[0])
         self.columns = np.random.Generator(np.random.Philox(kids[1]))
@@ -173,7 +173,6 @@ class ChainState:
         "b2",
         "dprior_add",
         "gamma_arr",
-        "gamma_list",
         "active",
         "parents",
         "G",
@@ -203,7 +202,6 @@ class ChainState:
         self.b2 = 2.0 * hyper.b
         self.dprior_add = math.log(hyper.q) - math.log1p(-hyper.q)
         self.gamma_arr = np.asarray(gamma, dtype=np.int8).copy()
-        self.gamma_list = [int(v) for v in self.gamma_arr]
         self.active = [int(j) for j in np.flatnonzero(self.gamma_arr)]
         self.parents = list(parents)
         dag = self.dag()
@@ -336,7 +334,7 @@ def _gamma_step(state: ChainState, stream) -> bool:
     d = delta + (lqr - lqf)
     if d < 0.0 and stream.random() >= math.exp(d):
         return False
-    state.gamma_arr[k] = state.gamma_list[k] = 1 if adding else 0
+    state.gamma_arr[k] = 1 if adding else 0
     state.active = new_active
     state.mrf_log += dmrf
     state.marginal_log = new_marg
@@ -468,7 +466,7 @@ def run_chain(
     changes no output, only how many memo misses the chain makes.
     """
     state = init_state(data, hyper, init=control.init, engine=engine)
-    streams = ChainStreams(control.seed, data.p)
+    streams = ChainStreams(control.seed)
     var_cum = np.zeros(data.p, dtype=np.intp)
     edge_cum = np.zeros((data.p, data.p), dtype=np.intp)
 

@@ -15,14 +15,16 @@ sampler moves only ever touch one column at a time.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
+from types import MappingProxyType
 
 import numpy as np
 
 from .dag_wishart import ColumnZDeltaCache, _chol_diagonals
-from .errors import DimensionError, EnumerationLimitError
+from .errors import DimensionError, EnumerationLimitError, NotPositiveDefiniteError
 from .graphs import Dag, adjacency, log_prior_dag
 from .simdata import Dataset
 from .spike_slab import Hyperparameters, log_mrf_prior
@@ -81,6 +83,12 @@ class ScoreEngine:
     When Y'Y = 0, X'Y = 0 too and every quad is 0, but A's last row is
     zero, so no block is positive definite.  A[p, p] then holds 1: every
     last pivot is exactly 1, and quad is that pivot squared less 1.
+
+    The constructor factors the whole of A once and raises
+    NotPositiveDefiniteError if it is not positive definite.  By Cauchy
+    interlacing every principal block of A is at least as well
+    conditioned as A, so a dataset whose likelihood blocks cannot be
+    factored fails here, not part-way through a chain.
     """
 
     def __init__(self, data: Dataset, hyper: Hyperparameters):
@@ -98,6 +106,7 @@ class ScoreEngine:
         A[:p, :p] = hyper.tau2 * data.gram + np.eye(p)
         A[:p, p] = A[p, :p] = math.sqrt(hyper.tau2) * data.xty
         A[p, p] = data.yty + self._quad_pad
+        _chol_diagonals(A, np.arange(p + 1)[np.newaxis], "likelihood matrix")
         self._A = A
 
     def _scale(self, hyper: Hyperparameters) -> np.ndarray:
@@ -186,7 +195,10 @@ def log_joint_score(
     if dag.p != data.p:
         raise DimensionError(f"dag has {dag.p} vertices but data has p={data.p}")
     if engine is None:
-        engine = ScoreEngine(data, hyper)
+        try:
+            engine = ScoreEngine(data, hyper)
+        except NotPositiveDefiniteError as exc:
+            raise _annotated("log_marginal", exc)
     else:
         engine.check_serves(data, hyper)
     lgp = log_mrf_prior(g, adjacency(dag), hyper)
@@ -207,19 +219,82 @@ def log_joint_score(
 def _logsumexp(vals: np.ndarray, top) -> np.ndarray:
     """log(sum(exp(vals))) over the last axis, given its maximum ``top``
     (one per row); every entry of ``vals`` is finite."""
-    return top + np.log(np.exp(vals - np.expand_dims(top, -1)).sum(axis=-1))
+    return top + np.log(np.exp(vals - top[..., None]).sum(axis=-1))
 
 
-def _lex_subsets(candidates: range, max_size: int) -> list[tuple[int, ...]]:
+def _lex_subsets(candidates: range, max_size: int) -> tuple[tuple[int, ...], ...]:
     """All subsets with fewer than max_size elements, sorted so that the
     resulting edge lists compare lexicographically."""
-    subs = [
-        s
-        for r in range(min(max_size, len(candidates) + 1))
-        for s in itertools.combinations(candidates, r)
-    ]
-    subs.sort()
-    return subs
+    sizes = range(min(max_size, len(candidates) + 1))
+    return tuple(sorted(s for r in sizes for s in itertools.combinations(candidates, r)))
+
+
+def _frozen(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
+@dataclass(frozen=True)
+class _Domain:
+    """The data-independent part of a table at (p, R); see ``_domain``."""
+
+    gammas: tuple[tuple[int, ...], ...]
+    gamma_index: MappingProxyType
+    gam: np.ndarray
+    actives: tuple[tuple[int, ...], ...]
+    col_subsets: tuple[tuple[tuple[int, ...], ...], ...]
+    col_index: tuple[MappingProxyType, ...]
+    key_vertices: tuple[int, ...]
+    key_sets: tuple[tuple[int, ...], ...]
+    key_nu: np.ndarray
+    key_rest: np.ndarray
+    col_slices: tuple[slice, ...]
+    coupling: tuple[np.ndarray, ...]
+
+
+@functools.lru_cache(maxsize=32)
+def _domain(p: int, R: int) -> _Domain:
+    """Everything a table needs that depends on (p, R) alone.
+
+    The admissible inclusion vectors in lexicographic order (the rows of
+    ``gam``) with their active tuples; per column, its lexicographic
+    parent sets with their index; every (column, parent set) key in one
+    flat list, column by column, with its parent count and its count of
+    absent candidates, and each column's slice of it; and per column the
+    coupling count |gamma on the parent set| where the column itself is
+    active, a (gamma x parent set) matrix.  Arrays are read-only and
+    sequences tuples, so tables can share one domain.
+    """
+    gammas = tuple(g for g in itertools.product((0, 1), repeat=p) if sum(g) < R)
+    gam = np.array(gammas, dtype=float)
+    col_subsets = tuple(_lex_subsets(range(c + 1, p), R) for c in range(p))
+    key_vertices = tuple(c for c, subs in enumerate(col_subsets) for _ in subs)
+    key_sets = tuple(s for subs in col_subsets for s in subs)
+    key_nu = np.array([len(s) for s in key_sets], dtype=float)
+    coupling = []
+    col_slices = []
+    lo = 0
+    for c, subs in enumerate(col_subsets):
+        member = np.array([[j in s for j in range(p)] for s in subs], dtype=float)
+        coupling.append(_frozen(gam[:, [c]] * (gam @ member.T)))
+        col_slices.append(slice(lo, lo + len(subs)))
+        lo += len(subs)
+    return _Domain(
+        gammas=gammas,
+        gamma_index=MappingProxyType({g: k for k, g in enumerate(gammas)}),
+        gam=_frozen(gam),
+        actives=tuple(tuple(j for j in range(p) if g[j]) for g in gammas),
+        col_subsets=col_subsets,
+        col_index=tuple(
+            MappingProxyType({s: k for k, s in enumerate(subs)}) for subs in col_subsets
+        ),
+        key_vertices=key_vertices,
+        key_sets=key_sets,
+        key_nu=_frozen(key_nu),
+        key_rest=_frozen(p - 1 - np.array(key_vertices, dtype=float) - key_nu),
+        col_slices=tuple(col_slices),
+        coupling=tuple(coupling),
+    )
 
 
 class PosteriorTable:
@@ -231,6 +306,13 @@ class PosteriorTable:
     table stores one (gamma x parent set) score matrix per column; the
     normalizer, argmax and point probabilities never materialize the
     full product space.  ``entries()`` iterates the full domain on demand.
+
+    Everything that depends on (p, R) alone is built once per (p, R) and
+    shared by every table (``_domain``).  A table makes one likelihood
+    batch (``ScoreEngine.marginals``) over its inclusion vectors and one
+    normalizer batch (``ColumnZDeltaCache.deltas``) over every (column,
+    parent set) key, so each scores its misses with one stacked Cholesky
+    per model size or parent count.
     """
 
     def __init__(self, data: Dataset, hyper: Hyperparameters, engine: ScoreEngine):
@@ -240,32 +322,26 @@ class PosteriorTable:
         log_q, log_1mq = math.log(hyper.q), math.log1p(-hyper.q)
         self.p = p
         self.R = R
+        dom = _domain(p, R)
+        self.gammas = dom.gammas
+        self.col_subsets = dom.col_subsets
+        self._gamma_index = dom.gamma_index
+        self._col_index = dom.col_index
+        self._gam = dom.gam
+        self._gamma_base = -hyper.a * dom.gam.sum(axis=1) + np.array(engine.marginals(dom.actives))
 
-        # Admissible inclusion vectors in lexicographic order; the rows of gam.
-        self.gammas: list[tuple[int, ...]] = [
-            g for g in itertools.product((0, 1), repeat=p) if sum(g) < R
-        ]
-        self._gamma_index = {g: k for k, g in enumerate(self.gammas)}
-        self._gam = gam = np.array(self.gammas, dtype=float)
-        actives = [tuple(j for j in range(p) if g[j]) for g in self.gammas]
-        self._gamma_base = -hyper.a * gam.sum(axis=1) + np.array(engine.marginals(actives))
-
-        # Per column: admissible parent sets (lexicographic, rows of member)
-        # and the score of each (gamma, parent set) pair: edge prior plus
-        # normalizer delta, plus the coupling bonus 2b * |gamma on the
-        # parent set| when column c itself is active.
-        self.col_subsets = [_lex_subsets(range(c + 1, p), R) for c in range(p)]
-        self._col_index = [{s: k for k, s in enumerate(subs)} for subs in self.col_subsets]
+        # Per (column, parent set) key: edge prior plus normalizer delta.
+        # Per column, each (gamma, parent set) pair adds the coupling bonus
+        # 2b * |gamma on the parent set| when column c itself is active.
+        delta = np.array(engine.zcache.deltas(dom.key_vertices, dom.key_sets))
+        terms = dom.key_nu * log_q + dom.key_rest * log_1mq + delta
+        b2 = 2.0 * hyper.b
         self._col_scores: list[np.ndarray] = []
         lse = self._gamma_base.copy()
         mx = self._gamma_base.copy()
         best_cols = []
-        for c, subs in enumerate(self.col_subsets):
-            member = np.array([[j in s for j in range(p)] for s in subs], dtype=float)
-            nu = member.sum(axis=1)
-            delta = np.array(engine.zcache.deltas([c] * len(subs), subs))
-            terms = nu * log_q + (p - 1 - c - nu) * log_1mq + delta
-            vals = terms + (2.0 * hyper.b) * (gam[:, [c]] * (gam @ member.T))
+        for cols, coupling in zip(dom.col_slices, dom.coupling):
+            vals = terms[cols] + b2 * coupling
             top = vals.max(axis=1)
             lse += _logsumexp(vals, top)
             mx += top

@@ -95,13 +95,13 @@ def test_criterion_3_sampler_matches_enumeration():
     hyper = Hyperparameters()
     table = enumerate_posterior(data, hyper)
     state = init_state(data, hyper)
-    streams = ChainStreams(ROOT_SEED, p)
+    streams = ChainStreams(ROOT_SEED)
     counts: Counter = Counter()
     burnin, keep = 10000, 200000
     for s in range(burnin + keep):
         gibbs_sweep(state, streams)
         if s >= burnin:
-            counts[(tuple(state.gamma_list), tuple(state.parents))] += 1
+            counts[(tuple(state.gamma_arr.tolist()), tuple(state.parents))] += 1
     tv = 0.0
     for gamma, dag, _, prob in table.entries():
         emp = counts.get((tuple(int(v) for v in gamma), dag.parents), 0) / keep

@@ -38,7 +38,7 @@ def chains(draw):
 def test_state_consistent_after_every_sweep(chain, n_sweeps):
     data, hyper, init, seed = chain
     state = init_state(data, hyper, init=init)
-    streams = ChainStreams(seed, data.p)
+    streams = ChainStreams(seed)
     for _ in range(n_sweeps):
         gibbs_sweep(state, streams)
         check_state_consistency(state, tol=1e-9, refresh=False)

@@ -171,7 +171,7 @@ class TestProposeDagColumn:
         # one row per other column and the last column never moves.
         data = chain_data(np.random.default_rng(12), n=25, p=3)
         state = init_state(data, Hyperparameters(), init="corr")
-        streams = ChainStreams(3, 3)
+        streams = ChainStreams(3)
         streams.columns = BlockRecorder(streams.columns)
         for _ in range(200):
             gibbs_sweep(state, streams)
@@ -329,7 +329,7 @@ class TestGibbsSweep:
         data = chain_data(rng, n=25, p=4)
         hyper = Hyperparameters(R=2)
         state = init_state(data, hyper)
-        streams = ChainStreams(7, 4)
+        streams = ChainStreams(7)
         for _ in range(400):
             gibbs_sweep(state, streams)
             assert len(state.active) < 2
@@ -341,7 +341,7 @@ class TestGibbsSweep:
         data = chain_data(rng, n=30, p=5)
         hyper = Hyperparameters()
         state = init_state(data, hyper)
-        streams = ChainStreams(11, 5)
+        streams = ChainStreams(11)
         worst = 0.0
         for s in range(3000):
             gibbs_sweep(state, streams)
@@ -428,7 +428,7 @@ class TestSharedEngine:
         h0 = Hyperparameters(b=0.0)
         state = init_state(data, h0, init=(gamma, dag), engine=shared)
         assert state.mrf_log == log_joint_score(gamma, dag, data, h0).log_gamma_prior
-        streams = ChainStreams(5, data.p)
+        streams = ChainStreams(5)
         for _ in range(50):
             gibbs_sweep(state, streams)
             assert check_state_consistency(state, tol=1e-9, refresh=False) <= 1e-9
@@ -474,13 +474,13 @@ class TestRunChain:
         hyper = Hyperparameters()
         table = enumerate_posterior(data, hyper)
         state = init_state(data, hyper)
-        streams = ChainStreams(17, 4)
+        streams = ChainStreams(17)
         counts: Counter = Counter()
         burnin, keep = 5000, 50000
         for s in range(burnin + keep):
             gibbs_sweep(state, streams)
             if s >= burnin:
-                counts[(tuple(state.gamma_list), tuple(state.parents))] += 1
+                counts[(tuple(state.gamma_arr.tolist()), tuple(state.parents))] += 1
         tv = 0.0
         emp_seen = 0.0
         for gamma, dag, _, prob in table.entries():
@@ -524,7 +524,7 @@ class TestRunChain:
         control = ChainControl(iters=240, burnin=burnin, seed=9, init="corr")
         summary = run_chain(data, hyper, control)
         state = init_state(data, hyper, init="corr")
-        streams = ChainStreams(control.seed, data.p)
+        streams = ChainStreams(control.seed)
         var_counts = np.zeros(data.p)
         edge_counts = np.zeros((data.p, data.p))
         for _ in range(control.iters):

@@ -198,6 +198,32 @@ class TestEnumeratePosterior:
         assert tuple(t1.argmax_gamma) == tuple(t2.argmax_gamma)
         assert t1.argmax_dag == t2.argmax_dag
 
+    def test_domain_cache_isolates_tables(self):
+        # Tables at one (p, R) share a cached domain; a table built on
+        # other data first must not change a later one, and the shared
+        # arrays must refuse writes.
+        from jointdag.scoring import _domain
+
+        rng = np.random.default_rng(15)
+        data_a, data_b = toy_data(rng, 20, 5), toy_data(rng, 40, 5)
+        h = Hyperparameters(b=0.5, R=4)
+        enumerate_posterior(data_a, h)
+        warm = enumerate_posterior(data_b, h)
+        _domain.cache_clear()
+        cold = enumerate_posterior(data_b, h)
+        assert warm.log_normalizer == cold.log_normalizer
+        assert warm.argmax_log_score == cold.argmax_log_score
+        assert tuple(warm.argmax_gamma) == tuple(cold.argmax_gamma)
+        assert warm.argmax_dag == cold.argmax_dag
+        assert np.array_equal(warm.variable_marginals(), cold.variable_marginals())
+        assert np.array_equal(warm.gamma_log_marginals(), cold.gamma_log_marginals())
+        dom = _domain(5, 4)
+        for arr in (dom.gam, dom.key_nu, dom.key_rest, *dom.coupling):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[...] = 0.0
+        with pytest.raises(TypeError):
+            dom.gamma_index[(1, 1, 1, 1, 1)] = 0
+
     def test_csv_export(self, tmp_path):
         rng = np.random.default_rng(14)
         data = toy_data(rng, 10, 3)

@@ -14,6 +14,7 @@ from jointdag import (
     log_mrf_prior,
 )
 from jointdag.errors import DimensionError, NotPositiveDefiniteError
+from jointdag import sampler
 from jointdag.scoring import PosteriorTable
 
 from oracles import random_dag
@@ -239,6 +240,22 @@ class TestMarginalBatch:
         expect = [(math.comb(6, k), k + 1, k + 1) for k in range(6)]
         assert sorted(blocks, key=lambda b: b[1]) == expect
 
+    def test_table_makes_one_normalizer_stack_per_parent_count(self, design6, monkeypatch):
+        h = Hyperparameters()
+        engine = ScoreEngine(design6, h)  # fresh: every key of the table misses
+        blocks = []
+        cholesky = np.linalg.cholesky
+        monkeypatch.setattr(
+            np.linalg, "cholesky", lambda a: blocks.append(a.shape) or cholesky(a)
+        )
+        PosteriorTable(design6, h, engine)
+        # U = I, so a normalizer miss factors only its posterior block: the
+        # C(6, k + 1) (column, parent set) keys with k parents in one stack
+        # of size k + 1, beside one likelihood stack per model size k.
+        normalizer = [(math.comb(6, k + 1), k + 1, k + 1) for k in range(6)]
+        marginal = [(math.comb(6, k), k + 1, k + 1) for k in range(6)]
+        assert sorted(blocks) == sorted(normalizer + marginal)
+
     def test_non_pd_likelihood_block_named(self):
         # tau2 = 1e20 and Y = X: the Schur complement 1 - (1e10 / 1e10)^2 is
         # exactly 0 in floating point, so the augmented block is singular.
@@ -248,3 +265,14 @@ class TestMarginalBatch:
             ScoreEngine(data, h).marginal((0,))
         with pytest.raises(NotPositiveDefiniteError, match=r"^\[log_marginal\] likelihood matrix"):
             log_joint_score(np.ones(1), Dag.empty(1), data, h)
+
+    def test_non_pd_likelihood_matrix_fails_before_any_sweep(self, monkeypatch):
+        data = Dataset(np.ones((1, 1)), np.ones(1))
+        h = Hyperparameters(tau2=1e20, R=2)
+        sweeps = []
+        monkeypatch.setattr(sampler, "gibbs_sweep", lambda *a: sweeps.append(a))
+        with pytest.raises(NotPositiveDefiniteError, match="^likelihood matrix is not positive"):
+            sampler.init_state(data, h)
+        with pytest.raises(NotPositiveDefiniteError, match="^likelihood matrix is not positive"):
+            sampler.run_chain(data, h, sampler.ChainControl(iters=5, burnin=0, seed=0))
+        assert sweeps == []
