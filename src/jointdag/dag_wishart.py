@@ -14,8 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import compress, repeat
-from operator import is_
+from itertools import repeat
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -154,20 +153,47 @@ def posterior_params(params: DagWishartParams, data: "Dataset", dag: Dag) -> Dag
     return DagWishartParams(U=params.U + data.gram, alpha=params.alpha + data.n)
 
 
+# Memo keys.  A parent set of a p-vertex graph is keyed by its packed
+# bitset: ceil(p / 8) bytes in which bit j % 8 of byte j // 8 is set when
+# j is a parent.  Equal sets give equal bytes, so keys never collide, and
+# the XOR of two bitsets is the bitset of their symmetric difference.
+
+
+def packed_key(parents, p: int) -> bytes:
+    """The memo key of one parent set of a p-vertex graph."""
+    return sum(1 << int(j) for j in parents).to_bytes((p + 7) // 8, "little")
+
+
+def pack_bitsets(member: np.ndarray) -> np.ndarray:
+    """Packed bitsets of the rows of a 2-D 0/1 membership array whose
+    columns are the p vertices: one row of ceil(p / 8) uint8 per row."""
+    return np.packbits(member, axis=1, bitorder="little")
+
+
+def packed_keys(bits: np.ndarray) -> list[bytes]:
+    """The memo key of each row of the packed bitsets ``bits``."""
+    bits = np.ascontiguousarray(bits)
+    return bits.view(np.dtype((np.void, bits.shape[1]))).ravel().tolist()
+
+
 class ColumnZDeltaCache:
     """Memoized per-vertex normalizer ratio between posterior and prior scales.
 
     ``delta(i, parents)`` returns the i-th factor of
     log z(U_post, n + alpha) - log z(U, alpha) under the shape rule
     alpha_i = nu_i + offset, and ``deltas(vertices, parent_sets)`` returns
-    it for many (vertex, parent set) keys at once.  Results are cached by
-    key, so only a column whose parent set changes needs a new value.
-    Misses are grouped by parent count, and each group's ``U_post`` blocks
-    are factored with one stacked Cholesky (``_logdet_pairs``): one
-    factorization per miss, and one more of the same block of ``U``.
-    When ``U`` is the identity every prior-side log determinant is exactly
-    0.0, so the prior factor depends on the parent count alone; it is then
-    memoized by that count and a miss factors only its posterior block.
+    it for many (vertex, parent set) keys at once.  Results are cached per
+    vertex under the parent set's packed key (``packed_key``), so only a
+    column whose parent set changes needs a new value; callers that hold
+    packed keys already look them up with ``packed_deltas``.  A miss's
+    index row, its parents in ascending order and then its vertex, is
+    unpacked from its key.  Misses are grouped by parent count, and each
+    group's ``U_post`` blocks are factored with one stacked Cholesky
+    (``_logdet_pairs``): one factorization per miss, and one more of the
+    same block of ``U``.  When ``U`` is the identity every prior-side log
+    determinant is exactly 0.0, so the prior factor depends on the parent
+    count alone; it is then memoized by that count and a miss factors
+    only its posterior block.
     """
 
     def __init__(self, U: np.ndarray, U_post: np.ndarray, n: int, offset: float):
@@ -177,25 +203,35 @@ class ColumnZDeltaCache:
         self.U_post = np.asarray(U_post, dtype=float)
         self.n = int(n)
         self.offset = float(offset)
-        # One memo per vertex, keyed by parent set: a lookup hashes only the
-        # parent tuple, and each table stays small.
-        self._memo: list[dict[tuple[int, ...], float]] = [{} for _ in range(self.U.shape[0])]
-        identity = np.array_equal(self.U, np.eye(self.U.shape[0]))
+        self.p = self.U.shape[0]
+        # One memo per vertex, keyed by packed parent set: each table stays
+        # small, and a key is one short bytes object.
+        self._memo: list[dict[bytes, float]] = [{} for _ in range(self.p)]
+        identity = np.array_equal(self.U, np.eye(self.p))
         self._prior_by_nu: dict[int, float] | None = {} if identity else None
 
     def __len__(self) -> int:
         """Number of memoized (vertex, parent set) values."""
         return sum(map(len, self._memo))
 
-    def _fill(self, keys) -> None:
-        """Compute and memoize the values of the (vertex, parent set)
-        ``keys``, none of them memoized."""
+    def _fill(self, vertices, keys) -> np.ndarray:
+        """Compute, memoize and return the values of the distinct (vertex,
+        packed key) pairs ``zip(vertices, keys)``, none of them memoized;
+        both are sequences."""
         groups: dict[int, list] = {}
-        for key in keys:
-            groups.setdefault(len(key[1]), []).append(key)
+        for k, key in enumerate(keys):
+            row = []  # the index row: the parents in ascending order, then the vertex
+            bits = int.from_bytes(key, "little")
+            while bits:
+                low = bits & -bits
+                row.append(low.bit_length() - 1)
+                bits ^= low
+            row.append(vertices[k])
+            groups.setdefault(len(row) - 1, []).append((k, row))
+        out = np.empty(len(keys))
         by_nu = self._prior_by_nu
         for nu, group in groups.items():
-            idx = np.array([pa + (i,) for i, pa in group], dtype=np.intp)
+            idx = np.array([row for _, row in group], dtype=np.intp)
             a_prior = nu + self.offset
             vals = _log_z_terms(self.n + a_prior, nu, *_logdet_pairs(self.U_post, idx, _SCALE))
             if by_nu is None:
@@ -205,23 +241,37 @@ class ColumnZDeltaCache:
                 if prior is None:
                     prior = by_nu[nu] = float(_log_z_terms(a_prior, nu, 0.0, 0.0))
                 vals -= prior
-            for (i, pa), val in zip(group, vals.tolist()):
-                self._memo[i][pa] = val
+            for (k, row), val in zip(group, vals.tolist()):
+                self._memo[row[-1]][keys[k]] = out[k] = val
+        return out
 
     def delta(self, i: int, parents: tuple[int, ...]) -> float:
-        val = self._memo[i].get(parents)
+        key = packed_key(parents, self.p)
+        val = self._memo[i].get(key)
         if val is None:
-            self._fill(((i, parents),))
-            val = self._memo[i][parents]
+            self._fill((i,), (key,))
+            val = self._memo[i][key]
         return val
 
-    def deltas(self, vertices, parent_sets) -> list[float]:
-        """The values of the keys ``zip(vertices, parent_sets)`` in order,
-        both sequences; every miss among them is computed in one ``_fill``."""
-        memos = list(map(self._memo.__getitem__, vertices))
-        vals = list(map(dict.get, memos, parent_sets))
-        if None in vals:
-            missing = map(is_, vals, repeat(None))
-            self._fill(dict.fromkeys(compress(zip(vertices, parent_sets), missing)))
-            vals = list(map(dict.__getitem__, memos, parent_sets))
+    def packed_deltas(self, vertices, keys) -> np.ndarray:
+        """The values of the distinct (vertex, packed key) pairs
+        ``zip(vertices, keys)`` in order, as an array; both are sequences,
+        and every miss among them is computed in one ``_fill``."""
+        vals = np.fromiter(
+            map(dict.get, map(self._memo.__getitem__, vertices), keys, repeat(math.nan)),
+            dtype=float,
+            count=len(keys),
+        )
+        miss = np.isnan(vals).nonzero()[0].tolist()
+        if miss:
+            vals[miss] = self._fill([vertices[k] for k in miss], [keys[k] for k in miss])
         return vals
+
+    def deltas(self, vertices, parent_sets) -> list[float]:
+        """The values of the keys ``zip(vertices, parent_sets)`` in order;
+        every miss among them is computed in one ``_fill``."""
+        pairs = [(i, packed_key(pa, self.p)) for i, pa in zip(vertices, parent_sets)]
+        distinct = list(dict.fromkeys(pairs))
+        vals = self.packed_deltas([i for i, _ in distinct], [key for _, key in distinct])
+        found = dict(zip(distinct, vals.tolist()))
+        return [found[pair] for pair in pairs]

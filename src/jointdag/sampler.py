@@ -10,10 +10,18 @@ function that returns the log posterior ratio (-inf outside the
 complexity bound) with the increments to commit, and a step function
 that decides and commits them.  The tests drive these same functions.
 
-The state keeps the parent sets (the normalizer memo keys) beside one
-dense symmetric adjacency matrix, whose rows give the graph neighbours
-the coupling prior needs and whose running sum gives the edge inclusion
-probabilities.
+The state keeps one dense symmetric adjacency matrix, whose rows give
+the graph neighbours the coupling prior needs, and three arrays over
+columns 0 .. p-2 (the last column has no candidates): each column's
+parent count, its packed parent bitset, whose bytes are its normalizer
+memo key, and its row of an order table, which lists its parents and
+then its absent candidates, each in ascending order.  One gather from
+the order table gives every column's toggle target, and one
+copy-and-xor of the bitsets gives every proposed memo key.  Only memo
+misses are unpacked into index rows, and parent tuples are built only
+for ``parents`` and ``dag()``.  The chain counts each variable's and
+each edge's kept sweeps from the sweeps at which it switches, so the
+counts cost one update per accepted move.
 
 Reproducibility: a root seed derives two counter-based streams, one for
 the inclusion moves and one for the column moves.  Each sweep draws one
@@ -27,10 +35,10 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from itertools import compress, count
 
 import numpy as np
 
+from .dag_wishart import pack_bitsets, packed_key, packed_keys
 from .errors import DimensionError, InitializationError, InternalConsistencyError
 from .graphs import Dag, adjacency
 from .scoring import ScoreEngine, log_joint_score
@@ -109,45 +117,53 @@ def propose_gamma(gamma: np.ndarray, rng):
     return k, not do_delete, float(lqf), float(lqr)
 
 
-def _propose_columns(parents: list[tuple[int, ...]], u: np.ndarray):
+def _propose_columns(nu: np.ndarray, order: np.ndarray, u: np.ndarray):
     """Add/delete proposal on the parent set of every column at once.
 
-    Row c of ``u`` (one row per column but the last, which has no
-    candidates) holds column c's uniforms: direction, candidate and
-    acceptance; the kernel reads the first two.  Column c's candidates
-    are ``c+1 .. p-1``.  A direction uniform below 1/2 deletes a
-    uniformly chosen parent, otherwise a uniformly chosen absent
+    ``nu`` and ``order`` are the columns' parent counts and order table
+    (see ``_order_rows``).  Row c of ``u`` (one row per column but the
+    last, which has no candidates) holds column c's uniforms: direction,
+    candidate and acceptance; the kernel reads the first two.  Column c's
+    candidates are ``c+1 .. p-1``.  A direction uniform below 1/2 deletes
+    a uniformly chosen parent, otherwise a uniformly chosen absent
     candidate is added; when only one direction exists it is taken with
-    probability 1.  Returns (toggled vertices, is_add, new parent tuples,
-    forward log probs, reverse log probs), one entry per column.
+    probability 1.  Returns (toggled vertices, is_add, forward log probs,
+    reverse log probs), one entry per column.
     """
     m = u.shape[0]
-    nu = np.fromiter(map(len, parents[:m]), dtype=np.intp, count=m)
     K = np.arange(m, 0, -1)
-    is_add = (nu == 0) | ((nu < K) & (u[:, 0] >= 0.5))
-    nu2 = np.where(is_add, nu + 1, nu - 1)
-    pool = np.where(is_add, K - nu, nu)  # candidates of the chosen direction
-    pool_r = np.where(is_add, nu2, K - nu2)
-    lqf = np.where((nu == 0) | (nu == K), 0.0, _LOG_HALF) - np.log(pool)
-    lqr = np.where((nu2 == 0) | (nu2 == K), 0.0, _LOG_HALF) - np.log(pool_r)
-    js = []
-    new_pa = []
-    picks = (u[:, 1] * pool).astype(np.intp).tolist()
-    for c, pa, add, k in zip(count(), parents, is_add.tolist(), picks):
-        if add:  # the k-th absent candidate, counted over the sorted parents
-            j = c + 1 + k
-            pos = 0
-            for x in pa:
-                if x > j:
-                    break
-                j += 1
-                pos += 1
-            new_pa.append(pa[:pos] + (j,) + pa[pos:] if pa else (j,))
-        else:
-            j = pa[k]
-            new_pa.append(pa[:k] + pa[k + 1 :])
-        js.append(j)
-    return js, is_add, new_pa, lqf, lqr
+    absent = K - nu
+    one_way = (nu == 0) | (absent == 0)
+    is_add = (nu == 0) | ((absent > 0) & (u[:, 0] >= 0.5))
+    pool = np.where(is_add, absent, nu)  # candidates of the chosen direction
+    pool_r = np.where(is_add, nu, absent) + 1  # and of the reverse move
+    lqf = np.where(one_way, 0.0, _LOG_HALF) - np.log(pool)
+    # After the move only the reverse direction exists iff pool was 1.
+    lqr = np.where(pool == 1, 0.0, _LOG_HALF) - np.log(pool_r)
+    picks = (u[:, 1] * pool).astype(np.intp)
+    # The k-th parent sits at k in the order row, the k-th absent one at nu + k.
+    js = order[np.arange(m), np.where(is_add, nu + picks, picks)]
+    return js, is_add, lqf, lqr
+
+
+def _order_rows(G: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """Rows ``cols`` of the order table of the adjacency ``G``: column c's
+    parents in ascending order, then its absent candidates in ascending
+    order, then the vertices up to c, which are no candidates of c; p - 1
+    entries per row."""
+    p = G.shape[0]
+    rank = G[cols]
+    np.subtract(1, rank, out=rank)  # 0 for a parent, 1 for an absent candidate
+    rank[np.arange(p) <= cols[:, np.newaxis]] = 2
+    return rank.argsort(axis=1, kind="stable")[:, : p - 1]
+
+
+def _column_arrays(G: np.ndarray):
+    """Parent counts, packed parent bitsets and order table of the columns
+    0 .. p-2 of the adjacency ``G``."""
+    p = G.shape[0]
+    member = np.triu(G[: p - 1] != 0, 1)
+    return member.sum(axis=1), pack_bitsets(member), _order_rows(G, np.arange(p - 1))
 
 
 # ---------------------------------------------------------------------------
@@ -174,8 +190,11 @@ class ChainState:
         "dprior_add",
         "gamma_arr",
         "active",
-        "parents",
         "G",
+        "nu",
+        "bits",
+        "order",
+        "singletons",
         "col_dlz",
         "mrf_log",
         "dag_prior_log",
@@ -203,11 +222,14 @@ class ChainState:
         self.dprior_add = math.log(hyper.q) - math.log1p(-hyper.q)
         self.gamma_arr = np.asarray(gamma, dtype=np.int8).copy()
         self.active = [int(j) for j in np.flatnonzero(self.gamma_arr)]
-        self.parents = list(parents)
-        dag = self.dag()
+        dag = Dag(p, tuple(parents))
         # Wide ints: row-times-gamma neighbour counts must not wrap.
         self.G = adjacency(dag).astype(np.intp)
-        self.col_dlz = np.array(engine.zcache.deltas(range(p), self.parents))
+        self.nu, self.bits, self.order = _column_arrays(self.G)
+        self.singletons = pack_bitsets(np.eye(p, dtype=bool))  # row j: the bitset of {j}
+        # The last column has no candidates, so its key is the empty set's.
+        keys = packed_keys(self.bits) + [packed_key((), p)]
+        self.col_dlz = engine.zcache.packed_deltas(range(p), keys)
         score = log_joint_score(self.gamma_arr, dag, engine.data, hyper, engine)
         self.mrf_log = score.log_gamma_prior
         self.dag_prior_log = score.log_dag_prior
@@ -216,6 +238,13 @@ class ChainState:
         self.iteration = 0
         self.gamma_accepts = 0
         self.col_accepts = np.zeros(max(p - 1, 0), dtype=np.intp)
+
+    @property
+    def parents(self) -> list[tuple[int, ...]]:
+        """Each column's parent set in ascending order, read from the order
+        table; a new list on every access."""
+        rows = zip(self.order, self.nu.tolist())
+        return [tuple(row[:n].tolist()) for row, n in rows] + [()]
 
     def dag(self) -> Dag:
         return Dag(self.p, tuple(self.parents))
@@ -308,81 +337,91 @@ def _gamma_flip_parts(state: ChainState, k: int, adding: bool):
     return dmrf + (new_marg - state.marginal_log), new_active, new_marg, dmrf
 
 
-def _column_deltas(state: ChainState, js: list[int], is_add: np.ndarray, new_pa):
+def _column_deltas(state: ChainState, js: np.ndarray, is_add: np.ndarray):
     """Log posterior ratio of each column's proposed toggle (kernel terms
     excluded), with the new normalizer deltas, edge-prior increments and
     coupling increments to commit; a column whose new parent set reaches
     the complexity bound gets -inf and no normalizer lookup."""
-    m = len(new_pa)
-    is_open = np.fromiter(map(len, new_pa), dtype=np.intp, count=m) < state.R
-    dlz_new = np.full(m, -np.inf)
-    keep = is_open.tolist()
-    cols, sets = list(compress(range(m), keep)), list(compress(new_pa, keep))
-    dlz_new[is_open] = state.engine.zcache.deltas(cols, sets)
+    m = js.shape[0]
     sign = np.where(is_add, 1.0, -1.0)
+    cols = (state.nu + sign < state.R).nonzero()[0]
+    new_bits = state.bits[cols] ^ state.singletons[js[cols]]
+    dlz_new = np.full(m, -np.inf)
+    dlz_new[cols] = state.engine.zcache.packed_deltas(cols.tolist(), packed_keys(new_bits))
     dprior = sign * state.dprior_add
     g = state.gamma_arr
     dmrf = sign * state.b2 * (g[:m] * g[js])  # both ends active
     return dlz_new - state.col_dlz[:m] + dprior + dmrf, dlz_new, dprior, dmrf
 
 
-def _gamma_step(state: ChainState, stream) -> bool:
+def _gamma_step(state: ChainState, stream) -> int | None:
+    """One inclusion-vector move; returns the flipped variable, or None."""
     k, adding, lqf, lqr = propose_gamma(state.gamma_arr, stream)
     delta, new_active, new_marg, dmrf = _gamma_flip_parts(state, k, adding)
     if new_active is None:
-        return False  # prior bound: zero-probability proposal
+        return None  # prior bound: zero-probability proposal
     d = delta + (lqr - lqf)
     if d < 0.0 and stream.random() >= math.exp(d):
-        return False
+        return None
     state.gamma_arr[k] = 1 if adding else 0
     state.active = new_active
     state.mrf_log += dmrf
     state.marginal_log = new_marg
     state.gamma_accepts += 1
-    return True
+    return k
 
 
-def _column_sweep(state: ChainState, u: np.ndarray) -> int:
+def _column_sweep(state: ChainState, u: np.ndarray):
     """One move per column from the uniform block ``u`` (see
-    ``_propose_columns``); returns how many were accepted."""
-    js, is_add, new_pa, lqf, lqr = _propose_columns(state.parents, u)
-    d, dlz_new, dprior, dmrf = _column_deltas(state, js, is_add, new_pa)
+    ``_propose_columns``); returns the accepted columns, the candidates
+    they toggled and whether each was added."""
+    js, is_add, lqf, lqr = _propose_columns(state.nu, state.order, u)
+    d, dlz_new, dprior, dmrf = _column_deltas(state, js, is_add)
     d += lqr - lqf
-    acc = np.flatnonzero((d >= 0.0) | (u[:, 2] < np.exp(np.minimum(d, 0.0))))
-    cols = acc.tolist()
-    for c in cols:
-        state.parents[c] = new_pa[c]
-    jj = [js[c] for c in cols]
-    state.G[acc, jj] = state.G[jj, acc] = is_add[acc]
-    state.dlz_total += float(np.sum(dlz_new[acc] - state.col_dlz[acc]))
+    acc = ((d >= 0.0) | (u[:, 2] < np.exp(np.minimum(d, 0.0)))).nonzero()[0]
+    jj, added = js[acc], is_add[acc]
+    state.G[acc, jj] = state.G[jj, acc] = added
+    state.bits[acc] ^= state.singletons[jj]
+    state.nu[acc] += np.where(added, 1, -1)
+    state.order[acc] = _order_rows(state.G, acc)
+    state.dlz_total += float((dlz_new[acc] - state.col_dlz[acc]).sum())
     state.col_dlz[acc] = dlz_new[acc]
-    state.dag_prior_log += float(np.sum(dprior[acc]))
-    state.mrf_log += float(np.sum(dmrf[acc]))
+    state.dag_prior_log += float(dprior[acc].sum())
+    state.mrf_log += float(dmrf[acc].sum())
     state.col_accepts[acc] += 1
-    return len(cols)
+    return acc, jj, added
 
 
-def gibbs_sweep(state: ChainState, streams: ChainStreams) -> tuple[bool, int]:
+def gibbs_sweep(state: ChainState, streams: ChainStreams):
     """One full sweep, mutating the state.
 
-    Returns whether the inclusion-vector move was accepted and how many
-    column moves were.
+    Returns the variable the inclusion-vector move flipped (None when it
+    was rejected), then the columns whose moves were accepted, the
+    candidates they toggled and whether each was added, as arrays.
     """
-    accepted_gamma = _gamma_step(state, streams.gamma)
-    n_col_accepts = _column_sweep(state, streams.columns.random((state.p - 1, 3)))
+    flipped = _gamma_step(state, streams.gamma)
+    moves = _column_sweep(state, streams.columns.random((state.p - 1, 3)))
     state.iteration += 1
-    return accepted_gamma, n_col_accepts
+    return (flipped, *moves)
 
 
 def check_state_consistency(state: ChainState, tol: float = 1e-6, refresh: bool = True) -> float:
     """Compare cached score parts against ``log_joint_score``.
 
-    The fresh score reads the same normalizer and likelihood memos as the
-    chain, so this checks the incremental bookkeeping, not the memoized
-    values.  Raises InternalConsistencyError beyond ``tol`` (a
-    delta-update bug); otherwise optionally refreshes the caches to stop
-    float drift and returns the largest absolute difference seen.
+    The column arrays (parent counts, packed parent bitsets and order
+    table) must equal those rebuilt from the adjacency, else
+    InternalConsistencyError.  The fresh score reads the same normalizer
+    and likelihood memos as the chain, so this checks the incremental
+    bookkeeping, not the memoized values.  Raises
+    InternalConsistencyError beyond ``tol`` (a delta-update bug);
+    otherwise optionally refreshes the caches to stop float drift and
+    returns the largest absolute difference seen.
     """
+    for name, fresh_arr in zip(("nu", "bits", "order"), _column_arrays(state.G)):
+        if not np.array_equal(getattr(state, name), fresh_arr):
+            raise InternalConsistencyError(
+                f"column array {name} disagrees with the adjacency at sweep {state.iteration}"
+            )
     engine = state.engine
     fresh = log_joint_score(state.gamma_arr, state.dag(), engine.data, state.hyper, engine)
     parts = (
@@ -456,10 +495,13 @@ def run_chain(
     """Run one chain and average inclusion indicators over kept sweeps.
 
     Snapshot t is the state after sweep t; it is kept when
-    burnin < t <= iters.  Variable and edge indicators are summed over
-    kept snapshots as exact integer counts; the state's adjacency and the
-    edge sums are dense p x p integer arrays, 2 * p**2 * 8 bytes per
-    chain.  Output is deterministic in (data, hyper, control).
+    burnin < t <= iters.  Variable and edge indicators are counted over
+    kept snapshots as exact integers: a switch at sweep s changes the
+    indicator in the kept snapshots max(s, burnin + 1) .. iters, so each
+    accepted move adds or subtracts that many.  The state's adjacency and
+    order table and the edge counts are dense integer arrays of about
+    p x p, 3 * p**2 * 8 bytes per chain.  Output is deterministic in
+    (data, hyper, control).
 
     ``engine`` lends the chain memos that other chains on the same
     ``data`` object filled (``init_state`` checks that it fits); it
@@ -467,26 +509,29 @@ def run_chain(
     """
     state = init_state(data, hyper, init=control.init, engine=engine)
     streams = ChainStreams(control.seed)
-    var_cum = np.zeros(data.p, dtype=np.intp)
-    edge_cum = np.zeros((data.p, data.p), dtype=np.intp)
+    kept = control.iters - control.burnin
+    var_cum = kept * state.gamma_arr.astype(np.intp)
+    edge_cum = np.triu(state.G, 1)
+    edge_cum *= kept
 
     trace_fh = open(control.trace, "w") if control.trace else None
     try:
         for s in range(1, control.iters + 1):
-            acc_g, acc_d = gibbs_sweep(state, streams)
-            if s > control.burnin:
-                var_cum += state.gamma_arr
-                edge_cum += state.G
+            flipped, cols, targets, added = gibbs_sweep(state, streams)
+            w = control.iters + 1 - max(s, control.burnin + 1)
+            if flipped is not None:
+                var_cum[flipped] += w if state.gamma_arr[flipped] else -w
+            edge_cum[cols, targets] += np.where(added, w, -w)
             if trace_fh is not None:
                 trace_fh.write(
                     json.dumps(
                         {
                             "iter": s,
                             "size": len(state.active),
-                            "edges": sum(map(len, state.parents)),
+                            "edges": int(state.nu.sum()),
                             "log_score": state.log_score,
-                            "accept_gamma": bool(acc_g),
-                            "dag_accepts": acc_d,
+                            "accept_gamma": flipped is not None,
+                            "dag_accepts": len(cols),
                         }
                     )
                     + "\n"
@@ -499,10 +544,9 @@ def run_chain(
     check_state_consistency(state)
 
     # Every sweep proposes one inclusion move and one move per column.
-    kept = control.iters - control.burnin
     return ChainSummary(
         inclusion_probs=var_cum / kept,
-        edge_probs=np.triu(edge_cum, 1) / kept,
+        edge_probs=edge_cum / kept,
         gamma_acceptance=state.gamma_accepts / control.iters,
         dag_acceptance=state.col_accepts / control.iters,
         seed=control.seed,

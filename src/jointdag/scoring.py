@@ -23,7 +23,7 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .dag_wishart import ColumnZDeltaCache, _chol_diagonals
+from .dag_wishart import ColumnZDeltaCache, _chol_diagonals, packed_key
 from .errors import DimensionError, EnumerationLimitError, NotPositiveDefiniteError
 from .graphs import Dag, adjacency, log_prior_dag
 from .simdata import Dataset
@@ -245,7 +245,7 @@ class _Domain:
     col_subsets: tuple[tuple[tuple[int, ...], ...], ...]
     col_index: tuple[MappingProxyType, ...]
     key_vertices: tuple[int, ...]
-    key_sets: tuple[tuple[int, ...], ...]
+    key_bits: tuple[bytes, ...]
     key_nu: np.ndarray
     key_rest: np.ndarray
     col_slices: tuple[slice, ...]
@@ -259,8 +259,9 @@ def _domain(p: int, R: int) -> _Domain:
     The admissible inclusion vectors in lexicographic order (the rows of
     ``gam``) with their active tuples; per column, its lexicographic
     parent sets with their index; every (column, parent set) key in one
-    flat list, column by column, with its parent count and its count of
-    absent candidates, and each column's slice of it; and per column the
+    flat list, column by column, as its vertex and the parent set's packed
+    memo key, with its parent count and its count of absent candidates,
+    and each column's slice of it; and per column the
     coupling count |gamma on the parent set| where the column itself is
     active, a (gamma x parent set) matrix.  Arrays are read-only and
     sequences tuples, so tables can share one domain.
@@ -269,7 +270,7 @@ def _domain(p: int, R: int) -> _Domain:
     gam = np.array(gammas, dtype=float)
     col_subsets = tuple(_lex_subsets(range(c + 1, p), R) for c in range(p))
     key_vertices = tuple(c for c, subs in enumerate(col_subsets) for _ in subs)
-    key_sets = tuple(s for subs in col_subsets for s in subs)
+    key_sets = [s for subs in col_subsets for s in subs]
     key_nu = np.array([len(s) for s in key_sets], dtype=float)
     coupling = []
     col_slices = []
@@ -289,7 +290,7 @@ def _domain(p: int, R: int) -> _Domain:
             MappingProxyType({s: k for k, s in enumerate(subs)}) for subs in col_subsets
         ),
         key_vertices=key_vertices,
-        key_sets=key_sets,
+        key_bits=tuple(packed_key(s, p) for s in key_sets),
         key_nu=_frozen(key_nu),
         key_rest=_frozen(p - 1 - np.array(key_vertices, dtype=float) - key_nu),
         col_slices=tuple(col_slices),
@@ -310,9 +311,9 @@ class PosteriorTable:
     Everything that depends on (p, R) alone is built once per (p, R) and
     shared by every table (``_domain``).  A table makes one likelihood
     batch (``ScoreEngine.marginals``) over its inclusion vectors and one
-    normalizer batch (``ColumnZDeltaCache.deltas``) over every (column,
-    parent set) key, so each scores its misses with one stacked Cholesky
-    per model size or parent count.
+    normalizer batch (``ColumnZDeltaCache.packed_deltas``) over every
+    (column, parent set) key, so each scores its misses with one stacked
+    Cholesky per model size or parent count.
     """
 
     def __init__(self, data: Dataset, hyper: Hyperparameters, engine: ScoreEngine):
@@ -333,7 +334,7 @@ class PosteriorTable:
         # Per (column, parent set) key: edge prior plus normalizer delta.
         # Per column, each (gamma, parent set) pair adds the coupling bonus
         # 2b * |gamma on the parent set| when column c itself is active.
-        delta = np.array(engine.zcache.deltas(dom.key_vertices, dom.key_sets))
+        delta = engine.zcache.packed_deltas(dom.key_vertices, dom.key_bits)
         terms = dom.key_nu * log_q + dom.key_rest * log_1mq + delta
         b2 = 2.0 * hyper.b
         self._col_scores: list[np.ndarray] = []

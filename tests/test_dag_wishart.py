@@ -14,7 +14,15 @@ from jointdag import (
     posterior_params,
     reconstruct_precision,
 )
-from jointdag.dag_wishart import ColumnZDeltaCache, DagWishartParams, _log_z_column_raw
+from jointdag import dag_wishart
+from jointdag.dag_wishart import (
+    ColumnZDeltaCache,
+    DagWishartParams,
+    _log_z_column_raw,
+    pack_bitsets,
+    packed_key,
+    packed_keys,
+)
 from jointdag.errors import ImproperPriorError, NotPositiveDefiniteError
 
 from oracles import dense_log_z, quadrature_normalization, random_cholesky_param, random_dag
@@ -292,3 +300,52 @@ class TestColumnZDeltaCache:
         cache.delta(3, (4, 6))  # a hit factors nothing
         cache.deltas([1, 2, 1, 3], [(2, 5), (3, 7), (2, 5), (4, 6)])
         assert sum(math.prod(b) for b in blocks) == 3 * per_miss
+
+
+class TestPackedKeys:
+    """A parent set's memo key round-trips: the key packed from a tuple
+    equals the key the sampler reads off its packed bitset array, and the
+    index row a miss factors, unpacked from the key, is the tuple's
+    parents and then the vertex."""
+
+    @staticmethod
+    def _check(monkeypatch, p, keys):
+        member = np.zeros((len(keys), p), dtype=bool)
+        for row, (_, pa) in zip(member, keys):
+            row[list(pa)] = True
+        packed = [packed_key(pa, p) for _, pa in keys]
+        assert all(len(k) == (p + 7) // 8 for k in packed)
+        assert packed_keys(pack_bitsets(member)) == packed
+        assert packed == [np.packbits(row, bitorder="little").tobytes() for row in member]
+        rows = []
+        logdet_pairs = dag_wishart._logdet_pairs
+        monkeypatch.setattr(
+            dag_wishart,
+            "_logdet_pairs",
+            lambda M, idx, name: rows.extend(idx.tolist()) or logdet_pairs(M, idx, name),
+        )
+        cache = ColumnZDeltaCache(np.eye(p), 2.0 * np.eye(p), 5, 10.0)
+        vals = cache.packed_deltas([i for i, _ in keys], packed)
+        assert sorted(rows) == sorted([*pa, i] for i, pa in keys)
+        assert np.isfinite(vals).all() and len(cache) == len(keys)
+
+    @pytest.mark.parametrize("p", range(1, 11))
+    def test_every_subset(self, monkeypatch, p):
+        import itertools
+
+        cands = range(1, p)
+        keys = [(0, s) for r in range(p) for s in itertools.combinations(cands, r)]
+        self._check(monkeypatch, p, keys)
+
+    @pytest.mark.parametrize("p", [9, 257, 1000])
+    def test_random_sets(self, monkeypatch, p):
+        # The last byte is partial at all three sizes, and 257 and 1000
+        # have parents beyond any uint8 index.
+        rng = np.random.default_rng(p)
+        keys = {}
+        while len(keys) < 200:
+            i = int(rng.integers(0, p - 1))
+            nu = int(rng.integers(0, min(p - 1 - i, 12) + 1))
+            pa = tuple(sorted(int(j) for j in rng.choice(np.arange(i + 1, p), nu, replace=False)))
+            keys[(i, pa)] = None
+        self._check(monkeypatch, p, list(keys))

@@ -18,6 +18,13 @@ SHA-256 of ``replicates.csv`` and ``table.csv`` with
 
 A change that alters any of these on purpose (a new random-stream
 layout, say) must regenerate the files and say why.
+
+The files were written with OpenBLAS's default threading, so run these
+tests with it.  Under ``OPENBLAS_NUM_THREADS=1`` three of them fail: both
+fit trace digests and the replicate digests.  Each fit's
+``summary.json`` still matches.  OpenBLAS's single-threaded path gives
+``simdata.generate(3, 1, 6, n=40)`` an ``X`` that differs in its last
+bits; with 2, 3, 4 and 8 threads the bits are identical.
 """
 
 import hashlib

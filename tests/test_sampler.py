@@ -20,8 +20,10 @@ from jointdag import (
     run_chain,
 )
 from jointdag.errors import InitializationError, InternalConsistencyError
+from jointdag.graphs import adjacency
 from jointdag.sampler import (
     ChainStreams,
+    _column_arrays,
     _column_deltas,
     _gamma_flip_parts,
     _propose_columns,
@@ -84,17 +86,23 @@ def _column_row(parents, c, j, p):
     return 0.75, (absent.index(j) + 0.5) / len(absent), 0.5
 
 
+def _column_kernel_arrays(parents):
+    """The parent counts and order table the chain keeps for these parent sets."""
+    nu, _, order = _column_arrays(adjacency(Dag(len(parents), tuple(parents))))
+    return nu, order
+
+
 def _force_column_moves(parents, targets):
-    """Drive _propose_columns so that column c toggles candidate targets[c]."""
+    """Drive _propose_columns so that column c toggles candidate targets[c];
+    returns (toggled vertices, is_add, new parent tuples, lqf, lqr)."""
     p = len(parents)
     u = np.array([_column_row(parents[c], c, j, p) for c, j in enumerate(targets)])
-    move = _propose_columns(list(parents), u)
-    js, is_add, new_pa = move[:3]
-    assert js == list(targets)
+    js, is_add, lqf, lqr = _propose_columns(*_column_kernel_arrays(parents), u)
+    assert js.tolist() == list(targets)
     for c, j in enumerate(targets):
         assert is_add[c] == (j not in parents[c])
-        assert new_pa[c] == tuple(sorted(set(parents[c]) ^ {j}))
-    return move
+    new_pa = [tuple(sorted(set(parents[c]) ^ {j})) for c, j in enumerate(targets)]
+    return js, is_add, new_pa, lqf, lqr
 
 
 def _force_column_move(parents, c, j, p):
@@ -153,17 +161,18 @@ class TestProposeDagColumn:
     def test_forced_add(self):
         counts = Counter()
         rng = np.random.default_rng(1)
+        arrays = _column_kernel_arrays([(), (), ()])
         for _ in range(4000):
-            _, is_add, new_pa, lqf, _ = _propose_columns([(), (), ()], rng.random((2, 3)))
-            counts[new_pa[0]] += 1
+            js, is_add, lqf, _ = _propose_columns(*arrays, rng.random((2, 3)))
+            counts[int(js[0])] += 1
             assert is_add[0]
             assert lqf[0] == pytest.approx(math.log(0.5))  # forced add among {1, 2}
-        assert abs(counts[(1,)] - 2000) < 3 * math.sqrt(4000 * 0.25)
+        assert abs(counts[1] - 2000) < 3 * math.sqrt(4000 * 0.25)
 
     def test_forced_delete(self):
         u = np.array([[0.9, 0.0, 0.5], [0.5, 0.5, 0.5]])
-        _, is_add, new_pa, lqf, _ = _propose_columns([(1, 2), (), ()], u)
-        assert not is_add[0] and new_pa[0] == (2,)
+        js, is_add, lqf, _ = _propose_columns(*_column_kernel_arrays([(1, 2), (), ()]), u)
+        assert not is_add[0] and js[0] == 1  # leaves (2,)
         assert lqf[0] == pytest.approx(math.log(0.5))
 
     def test_last_column_noop(self):
@@ -231,7 +240,7 @@ class TestFlipRatios:
             for t in range(3):
                 targets = [c + 1 + t % (3 - c) for c in range(3)]
                 js, is_add, new_pa, _, _ = _force_column_moves(dag.parents, targets)
-                delta = _column_deltas(state, js, is_add, new_pa)[0]
+                delta = _column_deltas(state, js, is_add)[0]
                 for c in range(3 - t):
                     flipped = Dag(4, dag.parents[:c] + (new_pa[c],) + dag.parents[c + 1 :])
                     full = log_joint_score(gamma, flipped, data, hyper, state.engine).log_score - base
@@ -306,7 +315,7 @@ class TestDetailedBalance:
             for t in range(p - 1):
                 targets = [c + 1 + t % (p - 1 - c) for c in range(p - 1)]
                 js, is_add, new_pa, lqf, lqr = _force_column_moves(dag.parents, targets)
-                delta = _column_deltas(state, js, is_add, new_pa)[0]
+                delta = _column_deltas(state, js, is_add)[0]
                 for c in range(p - 1 - t):
                     parents = dag.parents[:c] + (new_pa[c],) + dag.parents[c + 1 :]
                     col_moves[c].append(((x[0], parents), lqf[c], lqr[c], delta[c]))
@@ -349,6 +358,24 @@ class TestGibbsSweep:
                 worst = max(worst, check_state_consistency(state, refresh=False))
         assert worst <= 1e-8
 
+    @pytest.mark.parametrize("p", [1, 2])
+    def test_smallest_graphs(self, p):
+        rng = np.random.default_rng(40 + p)
+        X = rng.standard_normal((25, p))
+        data = Dataset(X, X[:, 0] + rng.standard_normal(25))
+        state = init_state(data, Hyperparameters())
+        streams = ChainStreams(p)
+        seen = set()
+        for _ in range(300):
+            gibbs_sweep(state, streams)
+            check_state_consistency(state, tol=1e-9)
+            seen.add(tuple(state.parents))
+        assert state.nu.shape == state.col_accepts.shape == (p - 1,)
+        assert seen == ({((),)} if p == 1 else {((), ()), ((1,), ())})
+        summary = run_chain(data, Hyperparameters(), ChainControl(iters=300, burnin=100, seed=p))
+        assert summary.edge_probs.shape == (p, p) and np.isfinite(summary.final_log_score)
+
+
 class TestCheckStateConsistency:
     # Cached part -> the matching component of a from-scratch score.
     PARTS = {
@@ -370,6 +397,14 @@ class TestCheckStateConsistency:
         state = self._state()
         setattr(state, part, getattr(state, part) + 1e-3)
         with pytest.raises(InternalConsistencyError):
+            check_state_consistency(state)
+
+    @pytest.mark.parametrize("array", ["nu", "bits", "order"])
+    def test_corrupt_column_array_raises(self, array):
+        state = self._state()
+        check_state_consistency(state)
+        getattr(state, array)[1] ^= 1  # one row of column 1 (parent 3)
+        with pytest.raises(InternalConsistencyError, match=array):
             check_state_consistency(state)
 
     @pytest.mark.parametrize("part", list(PARTS))
