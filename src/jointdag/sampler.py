@@ -133,8 +133,9 @@ def _propose_columns(nu: np.ndarray, order: np.ndarray, u: np.ndarray):
     m = u.shape[0]
     K = np.arange(m, 0, -1)
     absent = K - nu
-    one_way = (nu == 0) | (absent == 0)
-    is_add = (nu == 0) | ((absent > 0) & (u[:, 0] >= 0.5))
+    empty = nu == 0
+    one_way = empty | (absent == 0)
+    is_add = empty | ((absent > 0) & (u[:, 0] >= 0.5))
     pool = np.where(is_add, absent, nu)  # candidates of the chosen direction
     pool_r = np.where(is_add, nu, absent) + 1  # and of the reverse move
     lqf = np.where(one_way, 0.0, _LOG_HALF) - np.log(pool)
@@ -160,10 +161,12 @@ def _order_rows(G: np.ndarray, cols: np.ndarray) -> np.ndarray:
 
 def _column_arrays(G: np.ndarray):
     """Parent counts, packed parent bitsets and order table of the columns
-    0 .. p-2 of the adjacency ``G``."""
+    0 .. p-2 of the adjacency ``G``; the table takes the smallest unsigned
+    integer type that holds a vertex index."""
     p = G.shape[0]
     member = np.triu(G[: p - 1] != 0, 1)
-    return member.sum(axis=1), pack_bitsets(member), _order_rows(G, np.arange(p - 1))
+    order = _order_rows(G, np.arange(p - 1)).astype(np.min_scalar_type(p))
+    return member.sum(axis=1), pack_bitsets(member), order
 
 
 # ---------------------------------------------------------------------------
