@@ -214,18 +214,23 @@ class ColumnZDeltaCache:
         """Number of memoized (vertex, parent set) values."""
         return sum(map(len, self._memo))
 
-    def _fill(self, vertices, keys) -> np.ndarray:
+    def _fill(self, vertices, keys, parent_sets=None) -> np.ndarray:
         """Compute, memoize and return the values of the distinct (vertex,
         packed key) pairs ``zip(vertices, keys)``, none of them memoized;
-        both are sequences."""
+        all are sequences.  A key's index row is its parents in ascending
+        order, taken from ``parent_sets`` when given and else unpacked
+        from the key, then its vertex."""
         groups: dict[int, list] = {}
         for k, key in enumerate(keys):
-            row = []  # the index row: the parents in ascending order, then the vertex
-            bits = int.from_bytes(key, "little")
-            while bits:
-                low = bits & -bits
-                row.append(low.bit_length() - 1)
-                bits ^= low
+            if parent_sets is not None:
+                row = list(parent_sets[k])
+            else:
+                row = []
+                bits = int.from_bytes(key, "little")
+                while bits:
+                    low = bits & -bits
+                    row.append(low.bit_length() - 1)
+                    bits ^= low
             row.append(vertices[k])
             groups.setdefault(len(row) - 1, []).append((k, row))
         out = np.empty(len(keys))
@@ -249,14 +254,16 @@ class ColumnZDeltaCache:
         key = packed_key(parents, self.p)
         val = self._memo[i].get(key)
         if val is None:
-            self._fill((i,), (key,))
+            self._fill((i,), (key,), (parents,))
             val = self._memo[i][key]
         return val
 
-    def packed_deltas(self, vertices, keys) -> np.ndarray:
+    def packed_deltas(self, vertices, keys, parent_sets=None) -> np.ndarray:
         """The values of the distinct (vertex, packed key) pairs
-        ``zip(vertices, keys)`` in order, as an array; both are sequences,
-        and every miss among them is computed in one ``_fill``."""
+        ``zip(vertices, keys)`` in order, as an array; all are sequences,
+        and every miss among them is computed in one ``_fill``.  A caller
+        that holds the keys' parent sets passes them, so that misses need
+        not unpack their keys."""
         vals = np.fromiter(
             map(dict.get, map(self._memo.__getitem__, vertices), keys, repeat(math.nan)),
             dtype=float,
@@ -264,14 +271,21 @@ class ColumnZDeltaCache:
         )
         miss = np.isnan(vals).nonzero()[0].tolist()
         if miss:
-            vals[miss] = self._fill([vertices[k] for k in miss], [keys[k] for k in miss])
+            sets = None if parent_sets is None else [parent_sets[k] for k in miss]
+            vals[miss] = self._fill([vertices[k] for k in miss], [keys[k] for k in miss], sets)
         return vals
 
     def deltas(self, vertices, parent_sets) -> list[float]:
         """The values of the keys ``zip(vertices, parent_sets)`` in order;
         every miss among them is computed in one ``_fill``."""
-        pairs = [(i, packed_key(pa, self.p)) for i, pa in zip(vertices, parent_sets)]
-        distinct = list(dict.fromkeys(pairs))
-        vals = self.packed_deltas([i for i, _ in distinct], [key for _, key in distinct])
-        found = dict(zip(distinct, vals.tolist()))
+        sets = list(parent_sets)
+        pairs = [(i, packed_key(pa, self.p)) for i, pa in zip(vertices, sets)]
+        first: dict[tuple[int, bytes], int] = {}  # each distinct pair's first position
+        for k, pair in enumerate(pairs):
+            first.setdefault(pair, k)
+        ks = list(first.values())
+        vals = self.packed_deltas(
+            [pairs[k][0] for k in ks], [pairs[k][1] for k in ks], [sets[k] for k in ks]
+        )
+        found = dict(zip(first, vals.tolist()))
         return [found[pair] for pair in pairs]

@@ -245,6 +245,7 @@ class _Domain:
     col_subsets: tuple[tuple[tuple[int, ...], ...], ...]
     col_index: tuple[MappingProxyType, ...]
     key_vertices: tuple[int, ...]
+    key_sets: tuple[tuple[int, ...], ...]
     key_bits: tuple[bytes, ...]
     key_nu: np.ndarray
     key_rest: np.ndarray
@@ -270,7 +271,7 @@ def _domain(p: int, R: int) -> _Domain:
     gam = np.array(gammas, dtype=float)
     col_subsets = tuple(_lex_subsets(range(c + 1, p), R) for c in range(p))
     key_vertices = tuple(c for c, subs in enumerate(col_subsets) for _ in subs)
-    key_sets = [s for subs in col_subsets for s in subs]
+    key_sets = tuple(s for subs in col_subsets for s in subs)
     key_nu = np.array([len(s) for s in key_sets], dtype=float)
     coupling = []
     col_slices = []
@@ -290,6 +291,7 @@ def _domain(p: int, R: int) -> _Domain:
             MappingProxyType({s: k for k, s in enumerate(subs)}) for subs in col_subsets
         ),
         key_vertices=key_vertices,
+        key_sets=key_sets,
         key_bits=tuple(packed_key(s, p) for s in key_sets),
         key_nu=_frozen(key_nu),
         key_rest=_frozen(p - 1 - np.array(key_vertices, dtype=float) - key_nu),
@@ -334,7 +336,7 @@ class PosteriorTable:
         # Per (column, parent set) key: edge prior plus normalizer delta.
         # Per column, each (gamma, parent set) pair adds the coupling bonus
         # 2b * |gamma on the parent set| when column c itself is active.
-        delta = engine.zcache.packed_deltas(dom.key_vertices, dom.key_bits)
+        delta = engine.zcache.packed_deltas(dom.key_vertices, dom.key_bits, dom.key_sets)
         terms = dom.key_nu * log_q + dom.key_rest * log_1mq + delta
         b2 = 2.0 * hyper.b
         self._col_scores: list[np.ndarray] = []
