@@ -220,23 +220,25 @@ class ColumnZDeltaCache:
         all are sequences.  A key's index row is its parents in ascending
         order, taken from ``parent_sets`` when given and else unpacked
         from the key, then its vertex."""
-        groups: dict[int, list] = {}
+        groups: dict[int, list[int]] = {}
+        rows = []
         for k, key in enumerate(keys):
             if parent_sets is not None:
-                row = list(parent_sets[k])
+                pa = tuple(parent_sets[k])
             else:
-                row = []
+                pa = []
                 bits = int.from_bytes(key, "little")
                 while bits:
                     low = bits & -bits
-                    row.append(low.bit_length() - 1)
+                    pa.append(low.bit_length() - 1)
                     bits ^= low
-            row.append(vertices[k])
-            groups.setdefault(len(row) - 1, []).append((k, row))
+                pa = tuple(pa)
+            rows.append(pa + (vertices[k],))
+            groups.setdefault(len(pa), []).append(k)
         out = np.empty(len(keys))
         by_nu = self._prior_by_nu
-        for nu, group in groups.items():
-            idx = np.array([row for _, row in group], dtype=np.intp)
+        for nu, ks in groups.items():
+            idx = np.array([rows[k] for k in ks], dtype=np.intp)
             a_prior = nu + self.offset
             vals = _log_z_terms(self.n + a_prior, nu, *_logdet_pairs(self.U_post, idx, _SCALE))
             if by_nu is None:
@@ -246,8 +248,9 @@ class ColumnZDeltaCache:
                 if prior is None:
                     prior = by_nu[nu] = float(_log_z_terms(a_prior, nu, 0.0, 0.0))
                 vals -= prior
-            for (k, row), val in zip(group, vals.tolist()):
-                self._memo[row[-1]][keys[k]] = out[k] = val
+            for k, val in zip(ks, vals.tolist()):
+                self._memo[vertices[k]][keys[k]] = val
+            out[ks] = vals
         return out
 
     def delta(self, i: int, parents: tuple[int, ...]) -> float:
