@@ -18,6 +18,7 @@ from itertools import repeat
 from typing import TYPE_CHECKING
 
 import numpy as np
+from numpy.linalg._umath_linalg import cholesky_lo as _cholesky_lo
 from scipy.special import gammaln
 
 from .cholesky import CholeskyParam
@@ -60,14 +61,34 @@ def _chol_diagonals(M: np.ndarray, idx: np.ndarray, name: str) -> np.ndarray:
 
     One stacked Cholesky factors every block.  A block that is not
     positive definite raises NotPositiveDefiniteError naming ``M`` by
-    ``name``.
+    ``name``.  The factorization is the gufunc behind
+    ``np.linalg.cholesky``, called directly: the samplers factor tens of
+    thousands of small stacks per chain, and the wrapper's type checks
+    cost twice the factorization itself.  The gufunc flags a block that
+    is not positive definite as an invalid value.
     """
     blocks = M[idx[:, :, np.newaxis], idx[:, np.newaxis, :]]
     try:
-        chol = np.linalg.cholesky(blocks)
-    except np.linalg.LinAlgError as exc:
+        with np.errstate(invalid="raise"):
+            chol = _cholesky_lo(blocks, signature="d->d")
+    except FloatingPointError as exc:
         raise NotPositiveDefiniteError(f"{name} is not positive definite") from exc
     return np.diagonal(chol, axis1=1, axis2=2)
+
+
+def _log_diag_sums(
+    M: np.ndarray, idx: np.ndarray, name: str
+) -> tuple[np.ndarray, np.ndarray]:
+    """For each row ``pa + (i,)`` of the integer array ``idx`` (all rows of
+    one length), the sum of the log diagonal of the Cholesky factor of
+    ``M[pa, pa]`` and the log of the last diagonal entry of the factor of
+    ``M[pa + (i,), pa + (i,)]``.
+
+    The factor of the leading ``pa`` block is the leading corner of the
+    factor of the ``pa + (i,)`` block, so one factorization gives both.
+    """
+    log_diag = np.log(_chol_diagonals(M, idx, name))
+    return log_diag[:, :-1].sum(axis=1), log_diag[:, -1]
 
 
 def _logdet_pairs(
@@ -75,25 +96,33 @@ def _logdet_pairs(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Log determinants of ``M[pa, pa]`` and ``M[pa + (i,), pa + (i,)]`` for
     each row ``pa + (i,)`` of the integer array ``idx`` (all rows of one
-    length).
-
-    The factor of the leading ``pa`` block is the leading corner of the
-    factor of the ``pa + (i,)`` block, so the two log determinants are
-    twice the sum of the log diagonal without and with its last term.
-    The determinant of an empty block is 1.
+    length), from ``_log_diag_sums``.  The determinant of an empty block
+    is 1.
     """
-    log_diag = np.log(_chol_diagonals(M, idx, name))
-    half_gt = log_diag[:, :-1].sum(axis=1)
-    return 2.0 * half_gt, 2.0 * (half_gt + log_diag[:, -1])
+    half_gt, last = _log_diag_sums(M, idx, name)
+    return 2.0 * half_gt, 2.0 * (half_gt + last)
+
+
+def _log_z_coefs(alpha, nu: int) -> tuple[float, float, float]:
+    """The constant and the coefficients of the two log determinants in
+    ``_log_z_terms``, which depend on the shape and parent count alone."""
+    half = 0.5 * (alpha - nu)
+    const = gammaln(half - 1.0) + (0.5 * alpha - 1.0) * _LOG_2 + 0.5 * nu * _LOG_PI
+    return float(const), half - 1.5, half - 1.0
+
+
+def _log_z_from_coefs(coefs, ld_gt, ld_ge):
+    """``_log_z_terms`` from the three ``_log_z_coefs``; elementwise over
+    arrays of coefficients and log determinants."""
+    const, c_gt, c_ge = coefs
+    return const + c_gt * ld_gt - c_ge * ld_ge
 
 
 def _log_z_terms(alpha, nu: int, ld_gt, ld_ge):
     """One vertex's factor of the log normalizer from its shape, parent
     count and the two log determinants of ``_logdet_pairs``; elementwise
     over arrays of log determinants."""
-    half = 0.5 * (alpha - nu)
-    out = gammaln(half - 1.0) + (0.5 * alpha - 1.0) * _LOG_2 + 0.5 * nu * _LOG_PI
-    return out + (half - 1.5) * ld_gt - (half - 1.0) * ld_ge
+    return _log_z_from_coefs(_log_z_coefs(alpha, nu), ld_gt, ld_ge)
 
 
 def _log_z_column_raw(U: np.ndarray, i: int, parents: tuple[int, ...], alpha_i: float) -> float:
@@ -185,11 +214,11 @@ class ColumnZDeltaCache:
     it for many (vertex, parent set) keys at once.  Results are cached per
     vertex under the parent set's packed key (``packed_key``), so only a
     column whose parent set changes needs a new value; callers that hold
-    packed keys already look them up with ``packed_deltas``.  A miss's
-    index row, its parents in ascending order and then its vertex, is
-    unpacked from its key.  Misses are grouped by parent count, and each
-    group's ``U_post`` blocks are factored with one stacked Cholesky
-    (``_logdet_pairs``): one factorization per miss, and one more of the
+    packed bitsets look them up with ``packed_deltas``.  The misses of one
+    call are unpacked together into index rows, each its parents in
+    ascending order and then its vertex, and grouped by parent count;
+    each group's ``U_post`` blocks are factored with one stacked Cholesky
+    (``_log_diag_sums``): one factorization per miss, and one more of the
     same block of ``U``.  When ``U`` is the identity every prior-side log
     determinant is exactly 0.0, so the prior factor depends on the parent
     count alone; it is then memoized by that count and a miss factors
@@ -207,88 +236,98 @@ class ColumnZDeltaCache:
         # One memo per vertex, keyed by packed parent set: each table stays
         # small, and a key is one short bytes object.
         self._memo: list[dict[bytes, float]] = [{} for _ in range(self.p)]
-        identity = np.array_equal(self.U, np.eye(self.p))
-        self._prior_by_nu: dict[int, float] | None = {} if identity else None
+        self._identity = np.array_equal(self.U, np.eye(self.p))
+        self._by_nu: dict[int, tuple[float, ...]] = {}  # see ``_coefs``
 
     def __len__(self) -> int:
         """Number of memoized (vertex, parent set) values."""
         return sum(map(len, self._memo))
 
-    def _fill(self, vertices, keys, parent_sets=None) -> np.ndarray:
+    def _fill(self, vertices: np.ndarray, bits: np.ndarray, keys: list[bytes]) -> np.ndarray:
         """Compute, memoize and return the values of the distinct (vertex,
-        packed key) pairs ``zip(vertices, keys)``, none of them memoized;
-        all are sequences.  A key's index row is its parents in ascending
-        order, taken from ``parent_sets`` when given and else unpacked
-        from the key, then its vertex."""
-        groups: dict[int, list[int]] = {}
-        rows = []
-        for k, key in enumerate(keys):
-            if parent_sets is not None:
-                pa = tuple(parent_sets[k])
-            else:
-                pa = []
-                bits = int.from_bytes(key, "little")
-                while bits:
-                    low = bits & -bits
-                    pa.append(low.bit_length() - 1)
-                    bits ^= low
-                pa = tuple(pa)
-            rows.append(pa + (vertices[k],))
-            groups.setdefault(len(pa), []).append(k)
+        parent set) pairs given by the integer array ``vertices`` and the
+        rows of the packed bitsets ``bits``, whose memo keys are ``keys``;
+        none of them is memoized.
+
+        Each parent count's index rows are factored in one stack
+        (``_log_diag_sums``); the arithmetic that turns log diagonals into
+        values then runs once over all misses, with each miss's
+        coefficients (``_coefs``) repeated from its parent count.
+        """
+        member = np.unpackbits(bits, axis=1, count=self.p, bitorder="little")
+        nus = member.sum(axis=1, dtype=np.intp)
+        by_nu = nus.argsort(kind="stable")  # grouped by parent count, in call order
+        parents = member[by_nu].nonzero()[1]  # each miss's parents, ascending
+        rows = vertices[by_nu]
+        counts = np.bincount(nus)
+        present = counts.nonzero()[0].tolist()
+        sums = []
+        lo = start = 0
+        for nu in present:
+            count = int(counts[nu])
+            idx = np.empty((count, nu + 1), dtype=np.intp)
+            idx[:, :nu] = parents[start : start + count * nu].reshape(count, nu)
+            idx[:, nu] = rows[lo : lo + count]
+            post = _log_diag_sums(self.U_post, idx, _SCALE)
+            sums.append(post if self._identity else post + _log_diag_sums(self.U, idx, _SCALE))
+            lo += count
+            start += count * nu
+        half_gt, last, *prior_sums = map(np.concatenate, zip(*sums))
+        coefs = np.repeat(np.array([self._coefs(nu) for nu in present]), counts[present], axis=0).T
+        vals = _log_z_from_coefs(coefs[:3], 2.0 * half_gt, 2.0 * (half_gt + last))
+        if prior_sums:
+            half_gt, last = prior_sums
+            vals -= _log_z_from_coefs(coefs[3:], 2.0 * half_gt, 2.0 * (half_gt + last))
+        else:
+            vals -= coefs[3]  # U = I: every prior-side log determinant is 0.0
         out = np.empty(len(keys))
-        by_nu = self._prior_by_nu
-        for nu, ks in groups.items():
-            idx = np.array([rows[k] for k in ks], dtype=np.intp)
-            a_prior = nu + self.offset
-            vals = _log_z_terms(self.n + a_prior, nu, *_logdet_pairs(self.U_post, idx, _SCALE))
-            if by_nu is None:
-                vals -= _log_z_terms(a_prior, nu, *_logdet_pairs(self.U, idx, _SCALE))
-            else:
-                prior = by_nu.get(nu)
-                if prior is None:
-                    prior = by_nu[nu] = float(_log_z_terms(a_prior, nu, 0.0, 0.0))
-                vals -= prior
-            for k, val in zip(ks, vals.tolist()):
-                self._memo[vertices[k]][keys[k]] = val
-            out[ks] = vals
+        out[by_nu] = vals
+        memo = self._memo
+        for i, key, val in zip(vertices.tolist(), keys, out.tolist()):
+            memo[i][key] = val
         return out
+
+    def _coefs(self, nu: int) -> tuple[float, ...]:
+        """The ``_log_z_coefs`` of the posterior and then of the prior
+        factor of a vertex with ``nu`` parents."""
+        coefs = self._by_nu.get(nu)
+        if coefs is None:
+            a_prior = nu + self.offset
+            coefs = _log_z_coefs(self.n + a_prior, nu) + _log_z_coefs(a_prior, nu)
+            self._by_nu[nu] = coefs
+        return coefs
 
     def delta(self, i: int, parents: tuple[int, ...]) -> float:
         key = packed_key(parents, self.p)
         val = self._memo[i].get(key)
         if val is None:
-            self._fill((i,), (key,), (parents,))
+            bits = np.frombuffer(key, dtype=np.uint8)[np.newaxis]
+            self._fill(np.array([i]), bits, [key])
             val = self._memo[i][key]
         return val
 
-    def packed_deltas(self, vertices, keys, parent_sets=None) -> np.ndarray:
-        """The values of the distinct (vertex, packed key) pairs
-        ``zip(vertices, keys)`` in order, as an array; all are sequences,
-        and every miss among them is computed in one ``_fill``.  A caller
-        that holds the keys' parent sets passes them, so that misses need
-        not unpack their keys."""
-        vals = np.fromiter(
-            map(dict.get, map(self._memo.__getitem__, vertices), keys, repeat(math.nan)),
-            dtype=float,
-            count=len(keys),
-        )
-        miss = np.isnan(vals).nonzero()[0].tolist()
-        if miss:
-            sets = None if parent_sets is None else [parent_sets[k] for k in miss]
-            vals[miss] = self._fill([vertices[k] for k in miss], [keys[k] for k in miss], sets)
+    def packed_deltas(self, vertices: np.ndarray, bits: np.ndarray) -> np.ndarray:
+        """The values of the distinct (vertex, parent set) pairs given by the
+        integer array ``vertices`` and the rows of the packed bitsets
+        ``bits``, in order, as an array; every miss among them is computed
+        in one ``_fill``."""
+        keys = packed_keys(bits)
+        memos = map(self._memo.__getitem__, vertices.tolist())
+        vals = np.fromiter(map(dict.get, memos, keys, repeat(math.nan)), dtype=float, count=len(keys))
+        miss = np.isnan(vals).nonzero()[0]
+        if miss.shape[0]:
+            vals[miss] = self._fill(vertices[miss], bits[miss], [keys[k] for k in miss.tolist()])
         return vals
 
     def deltas(self, vertices, parent_sets) -> list[float]:
         """The values of the keys ``zip(vertices, parent_sets)`` in order;
         every miss among them is computed in one ``_fill``."""
-        sets = list(parent_sets)
-        pairs = [(i, packed_key(pa, self.p)) for i, pa in zip(vertices, sets)]
-        first: dict[tuple[int, bytes], int] = {}  # each distinct pair's first position
-        for k, pair in enumerate(pairs):
-            first.setdefault(pair, k)
-        ks = list(first.values())
+        pairs = [(i, packed_key(pa, self.p)) for i, pa in zip(vertices, parent_sets)]
+        distinct = list(dict.fromkeys(pairs))
+        bits = np.frombuffer(b"".join(key for _, key in distinct), dtype=np.uint8)
         vals = self.packed_deltas(
-            [pairs[k][0] for k in ks], [pairs[k][1] for k in ks], [sets[k] for k in ks]
+            np.array([i for i, _ in distinct], dtype=np.intp),
+            bits.reshape(len(distinct), (self.p + 7) // 8),
         )
-        found = dict(zip(first, vals.tolist()))
+        found = dict(zip(distinct, vals.tolist()))
         return [found[pair] for pair in pairs]

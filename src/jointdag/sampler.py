@@ -38,7 +38,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dag_wishart import pack_bitsets, packed_key, packed_keys
+from .dag_wishart import pack_bitsets
 from .errors import DimensionError, InitializationError, InternalConsistencyError
 from .graphs import Dag, adjacency
 from .scoring import ScoreEngine, log_joint_score
@@ -92,9 +92,13 @@ def propose_gamma(gamma: np.ndarray, rng):
     coordinate, is_add, forward log prob, reverse log prob).
     """
     g = np.asarray(gamma)
-    p = g.shape[0]
-    ones = np.flatnonzero(g)
-    k1 = ones.shape[0]
+    return _propose_flip(np.flatnonzero(g).tolist(), g.shape[0], rng)
+
+
+def _propose_flip(ones: list[int], p: int, rng):
+    """``propose_gamma`` on a length-p inclusion vector whose active
+    coordinates are the ascending list ``ones``."""
+    k1 = len(ones)
     k0 = p - k1
     if k1 == 0:
         do_delete = False
@@ -106,12 +110,15 @@ def propose_gamma(gamma: np.ndarray, rng):
         do_delete = rng.random() < 0.5
         lqf = _LOG_HALF - math.log(k1 if do_delete else k0)
     if do_delete:
-        k = int(ones[int(rng.random() * k1)])
+        k = ones[int(rng.random() * k1)]
         n1 = k1 - 1
         lqr = -math.log(p - n1) if n1 == 0 else _LOG_HALF - math.log(p - n1)
     else:
-        zeros = np.flatnonzero(g == 0)
-        k = int(zeros[int(rng.random() * k0)])
+        k = int(rng.random() * k0)  # the k-th inactive coordinate, counted from 0
+        for j in ones:
+            if j > k:
+                break
+            k += 1
         n1 = k1 + 1
         lqr = -math.log(n1) if n1 == p else _LOG_HALF - math.log(n1)
     return k, not do_delete, float(lqf), float(lqr)
@@ -131,19 +138,19 @@ def _propose_columns(nu: np.ndarray, order: np.ndarray, u: np.ndarray):
     reverse log probs), one entry per column.
     """
     m = u.shape[0]
-    K = np.arange(m, 0, -1)
+    K = np.arange(m, 0, -1)  # candidates per column
     absent = K - nu
-    empty = nu == 0
-    one_way = empty | (absent == 0)
-    is_add = empty | ((absent > 0) & (u[:, 0] >= 0.5))
+    one_way = nu * absent == 0
+    is_add = np.where(one_way, nu == 0, u[:, 0] >= 0.5)
     pool = np.where(is_add, absent, nu)  # candidates of the chosen direction
-    pool_r = np.where(is_add, nu, absent) + 1  # and of the reverse move
     lqf = np.where(one_way, 0.0, _LOG_HALF) - np.log(pool)
-    # After the move only the reverse direction exists iff pool was 1.
-    lqr = np.where(pool == 1, 0.0, _LOG_HALF) - np.log(pool_r)
-    picks = (u[:, 1] * pool).astype(np.intp)
+    # The reverse move chooses among the other direction's candidates and
+    # the toggled one; only its direction exists iff pool was 1.
+    lqr = np.where(pool == 1, 0.0, _LOG_HALF) - np.log(K + 1 - pool)
     # The k-th parent sits at k in the order row, the k-th absent one at nu + k.
-    js = order[np.arange(m), np.where(is_add, nu + picks, picks)]
+    picks = (u[:, 1] * pool).astype(np.intp)
+    picks += nu * is_add
+    js = order[np.arange(m), picks]
     return js, is_add, lqf, lqr
 
 
@@ -198,6 +205,7 @@ class ChainState:
         "bits",
         "order",
         "singletons",
+        "columns",
         "col_dlz",
         "mrf_log",
         "dag_prior_log",
@@ -230,9 +238,10 @@ class ChainState:
         self.G = adjacency(dag).astype(np.intp)
         self.nu, self.bits, self.order = _column_arrays(self.G)
         self.singletons = pack_bitsets(np.eye(p, dtype=bool))  # row j: the bitset of {j}
-        # The last column has no candidates, so its key is the empty set's.
-        keys = packed_keys(self.bits) + [packed_key((), p)]
-        self.col_dlz = engine.zcache.packed_deltas(range(p), keys)
+        self.columns = np.arange(p - 1)
+        # The last column has no candidates, so its bitset is the empty set's.
+        bits = np.concatenate([self.bits, np.zeros_like(self.singletons[:1])])
+        self.col_dlz = engine.zcache.packed_deltas(np.arange(p), bits)
         score = log_joint_score(self.gamma_arr, dag, engine.data, hyper, engine)
         self.mrf_log = score.log_gamma_prior
         self.dag_prior_log = score.log_dag_prior
@@ -342,24 +351,33 @@ def _gamma_flip_parts(state: ChainState, k: int, adding: bool):
 
 def _column_deltas(state: ChainState, js: np.ndarray, is_add: np.ndarray):
     """Log posterior ratio of each column's proposed toggle (kernel terms
-    excluded), with the new normalizer deltas, edge-prior increments and
-    coupling increments to commit; a column whose new parent set reaches
-    the complexity bound gets -inf and no normalizer lookup."""
+    excluded), with the new normalizer deltas, the new packed parent
+    bitsets and the increments of ``dlz_total``, ``dag_prior_log`` and
+    ``mrf_log`` to commit, the rows of a 3 x m array; a column whose new
+    parent set reaches the complexity bound gets -inf and no normalizer
+    lookup."""
     m = js.shape[0]
     sign = np.where(is_add, 1.0, -1.0)
-    cols = (state.nu + sign < state.R).nonzero()[0]
-    new_bits = state.bits[cols] ^ state.singletons[js[cols]]
-    dlz_new = np.full(m, -np.inf)
-    dlz_new[cols] = state.engine.zcache.packed_deltas(cols.tolist(), packed_keys(new_bits))
-    dprior = sign * state.dprior_add
+    new_bits = state.bits ^ state.singletons[js]
+    lookup = state.engine.zcache.packed_deltas
+    is_open = state.nu + sign < state.R
+    if is_open.all():
+        dlz_new = lookup(state.columns, new_bits)
+    else:
+        cols = is_open.nonzero()[0]
+        dlz_new = np.full(m, -np.inf)
+        dlz_new[cols] = lookup(cols, new_bits[cols])
+    inc = np.empty((3, m))
+    np.subtract(dlz_new, state.col_dlz[:m], out=inc[0])
+    np.multiply(sign, state.dprior_add, out=inc[1])
     g = state.gamma_arr
-    dmrf = sign * state.b2 * (g[:m] * g[js])  # both ends active
-    return dlz_new - state.col_dlz[:m] + dprior + dmrf, dlz_new, dprior, dmrf
+    np.multiply(sign * state.b2, g[:m] * g[js], out=inc[2])  # both ends active
+    return inc[0] + inc[1] + inc[2], dlz_new, new_bits, inc
 
 
 def _gamma_step(state: ChainState, stream) -> int | None:
     """One inclusion-vector move; returns the flipped variable, or None."""
-    k, adding, lqf, lqr = propose_gamma(state.gamma_arr, stream)
+    k, adding, lqf, lqr = _propose_flip(state.active, state.p, stream)
     delta, new_active, new_marg, dmrf = _gamma_flip_parts(state, k, adding)
     if new_active is None:
         return None  # prior bound: zero-probability proposal
@@ -379,19 +397,23 @@ def _column_sweep(state: ChainState, u: np.ndarray):
     ``_propose_columns``); returns the accepted columns, the candidates
     they toggled and whether each was added."""
     js, is_add, lqf, lqr = _propose_columns(state.nu, state.order, u)
-    d, dlz_new, dprior, dmrf = _column_deltas(state, js, is_add)
+    d, dlz_new, new_bits, inc = _column_deltas(state, js, is_add)
     d += lqr - lqf
-    acc = ((d >= 0.0) | (u[:, 2] < np.exp(np.minimum(d, 0.0)))).nonzero()[0]
+    # Accept with probability min(1, exp(d)); exp(0) = 1 exceeds every uniform.
+    np.minimum(d, 0.0, out=d)
+    accepted = u[:, 2] < np.exp(d, out=d)
+    acc = accepted.nonzero()[0]
     jj, added = js[acc], is_add[acc]
     state.G[acc, jj] = state.G[jj, acc] = added
-    state.bits[acc] ^= state.singletons[jj]
+    state.bits[acc] = new_bits[acc]
     state.nu[acc] += np.where(added, 1, -1)
     state.order[acc] = _order_rows(state.G, acc)
-    state.dlz_total += float((dlz_new[acc] - state.col_dlz[acc]).sum())
+    dlz, dprior, dmrf = inc[:, acc]
+    state.dlz_total += float(dlz.sum())
+    state.dag_prior_log += float(dprior.sum())
+    state.mrf_log += float(dmrf.sum())
     state.col_dlz[acc] = dlz_new[acc]
-    state.dag_prior_log += float(dprior[acc].sum())
-    state.mrf_log += float(dmrf[acc].sum())
-    state.col_accepts[acc] += 1
+    state.col_accepts += accepted
     return acc, jj, added
 
 

@@ -23,7 +23,7 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .dag_wishart import ColumnZDeltaCache, _chol_diagonals, packed_key
+from .dag_wishart import ColumnZDeltaCache, _chol_diagonals, pack_bitsets
 from .errors import DimensionError, EnumerationLimitError, NotPositiveDefiniteError
 from .graphs import Dag, adjacency, log_prior_dag
 from .simdata import Dataset
@@ -244,9 +244,8 @@ class _Domain:
     actives: tuple[tuple[int, ...], ...]
     col_subsets: tuple[tuple[tuple[int, ...], ...], ...]
     col_index: tuple[MappingProxyType, ...]
-    key_vertices: tuple[int, ...]
-    key_sets: tuple[tuple[int, ...], ...]
-    key_bits: tuple[bytes, ...]
+    key_vertices: np.ndarray
+    key_bits: np.ndarray
     key_nu: np.ndarray
     key_rest: np.ndarray
     col_slices: tuple[slice, ...]
@@ -261,26 +260,28 @@ def _domain(p: int, R: int) -> _Domain:
     ``gam``) with their active tuples; per column, its lexicographic
     parent sets with their index; every (column, parent set) key in one
     flat list, column by column, as its vertex and the parent set's packed
-    memo key, with its parent count and its count of absent candidates,
-    and each column's slice of it; and per column the
-    coupling count |gamma on the parent set| where the column itself is
-    active, a (gamma x parent set) matrix.  Arrays are read-only and
-    sequences tuples, so tables can share one domain.
+    bitset, with its parent count and its count of absent candidates, and
+    each column's slice of it; and per column the coupling count
+    |gamma on the parent set| where the column itself is active, a
+    (gamma x parent set) matrix.  Arrays are read-only and sequences
+    tuples, so tables can share one domain.
     """
     gammas = tuple(g for g in itertools.product((0, 1), repeat=p) if sum(g) < R)
     gam = np.array(gammas, dtype=float)
     col_subsets = tuple(_lex_subsets(range(c + 1, p), R) for c in range(p))
-    key_vertices = tuple(c for c, subs in enumerate(col_subsets) for _ in subs)
-    key_sets = tuple(s for subs in col_subsets for s in subs)
-    key_nu = np.array([len(s) for s in key_sets], dtype=float)
+    key_vertices = np.array([c for c, subs in enumerate(col_subsets) for _ in subs], dtype=np.intp)
+    members = []
     coupling = []
     col_slices = []
     lo = 0
     for c, subs in enumerate(col_subsets):
         member = np.array([[j in s for j in range(p)] for s in subs], dtype=float)
+        members.append(member)
         coupling.append(_frozen(gam[:, [c]] * (gam @ member.T)))
         col_slices.append(slice(lo, lo + len(subs)))
         lo += len(subs)
+    key_member = np.concatenate(members)
+    key_nu = key_member.sum(axis=1)
     return _Domain(
         gammas=gammas,
         gamma_index=MappingProxyType({g: k for k, g in enumerate(gammas)}),
@@ -290,11 +291,10 @@ def _domain(p: int, R: int) -> _Domain:
         col_index=tuple(
             MappingProxyType({s: k for k, s in enumerate(subs)}) for subs in col_subsets
         ),
-        key_vertices=key_vertices,
-        key_sets=key_sets,
-        key_bits=tuple(packed_key(s, p) for s in key_sets),
+        key_vertices=_frozen(key_vertices),
+        key_bits=_frozen(pack_bitsets(key_member != 0)),
         key_nu=_frozen(key_nu),
-        key_rest=_frozen(p - 1 - np.array(key_vertices, dtype=float) - key_nu),
+        key_rest=_frozen(p - 1 - key_vertices.astype(float) - key_nu),
         col_slices=tuple(col_slices),
         coupling=tuple(coupling),
     )
@@ -336,7 +336,7 @@ class PosteriorTable:
         # Per (column, parent set) key: edge prior plus normalizer delta.
         # Per column, each (gamma, parent set) pair adds the coupling bonus
         # 2b * |gamma on the parent set| when column c itself is active.
-        delta = engine.zcache.packed_deltas(dom.key_vertices, dom.key_bits, dom.key_sets)
+        delta = engine.zcache.packed_deltas(dom.key_vertices, dom.key_bits)
         terms = dom.key_nu * log_q + dom.key_rest * log_1mq + delta
         b2 = 2.0 * hyper.b
         self._col_scores: list[np.ndarray] = []

@@ -291,9 +291,11 @@ class TestColumnZDeltaCache:
         cache = ColumnZDeltaCache(U, U + X.T @ X, n, 10.0)
         cache.delta(0, (1, 2))  # fills the identity prior memo for two parents
         blocks = []
-        cholesky = np.linalg.cholesky
+        cholesky = dag_wishart._cholesky_lo
         monkeypatch.setattr(
-            np.linalg, "cholesky", lambda a: blocks.append(a.shape[:-2]) or cholesky(a)
+            dag_wishart,
+            "_cholesky_lo",
+            lambda a, **kw: blocks.append(a.shape[:-2]) or cholesky(a, **kw),
         )
         cache.delta(3, (4, 6))
         assert [math.prod(b) for b in blocks] == [1] * per_miss
@@ -305,7 +307,7 @@ class TestColumnZDeltaCache:
 class TestPackedKeys:
     """A parent set's memo key round-trips: the key packed from a tuple
     equals the key the sampler reads off its packed bitset array, and the
-    index row a miss factors, unpacked from the key, is the tuple's
+    index row a miss factors, unpacked from the bitset, is the tuple's
     parents and then the vertex."""
 
     @staticmethod
@@ -315,17 +317,18 @@ class TestPackedKeys:
             row[list(pa)] = True
         packed = [packed_key(pa, p) for _, pa in keys]
         assert all(len(k) == (p + 7) // 8 for k in packed)
-        assert packed_keys(pack_bitsets(member)) == packed
+        bits = pack_bitsets(member)
+        assert packed_keys(bits) == packed
         assert packed == [np.packbits(row, bitorder="little").tobytes() for row in member]
         rows = []
-        logdet_pairs = dag_wishart._logdet_pairs
+        log_diag_sums = dag_wishart._log_diag_sums
         monkeypatch.setattr(
             dag_wishart,
-            "_logdet_pairs",
-            lambda M, idx, name: rows.extend(idx.tolist()) or logdet_pairs(M, idx, name),
+            "_log_diag_sums",
+            lambda M, idx, name: rows.extend(idx.tolist()) or log_diag_sums(M, idx, name),
         )
         cache = ColumnZDeltaCache(np.eye(p), 2.0 * np.eye(p), 5, 10.0)
-        vals = cache.packed_deltas([i for i, _ in keys], packed)
+        vals = cache.packed_deltas(np.array([i for i, _ in keys]), bits)
         assert sorted(rows) == sorted([*pa, i] for i, pa in keys)
         assert np.isfinite(vals).all() and len(cache) == len(keys)
 

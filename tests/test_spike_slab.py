@@ -14,7 +14,7 @@ from jointdag import (
     log_mrf_prior,
 )
 from jointdag.errors import DimensionError, NotPositiveDefiniteError
-from jointdag import sampler
+from jointdag import dag_wishart, sampler
 from jointdag.scoring import PosteriorTable
 
 from oracles import random_dag
@@ -231,9 +231,11 @@ class TestMarginalBatch:
         PosteriorTable(design6, h, engine)  # fills both memos
         engine._marginal_memo.clear()
         blocks = []
-        cholesky = np.linalg.cholesky
+        cholesky = dag_wishart._cholesky_lo
         monkeypatch.setattr(
-            np.linalg, "cholesky", lambda a: blocks.append(a.shape) or cholesky(a)
+            dag_wishart,
+            "_cholesky_lo",
+            lambda a, **kw: blocks.append(a.shape) or cholesky(a, **kw),
         )
         PosteriorTable(design6, h, engine)
         # Sizes 0..5 lie below the default bound R = p = 6.
@@ -244,9 +246,11 @@ class TestMarginalBatch:
         h = Hyperparameters()
         engine = ScoreEngine(design6, h)  # fresh: every key of the table misses
         blocks = []
-        cholesky = np.linalg.cholesky
+        cholesky = dag_wishart._cholesky_lo
         monkeypatch.setattr(
-            np.linalg, "cholesky", lambda a: blocks.append(a.shape) or cholesky(a)
+            dag_wishart,
+            "_cholesky_lo",
+            lambda a, **kw: blocks.append(a.shape) or cholesky(a, **kw),
         )
         PosteriorTable(design6, h, engine)
         # U = I, so a normalizer miss factors only its posterior block: the
