@@ -12,8 +12,7 @@ selection quality against simulated ground truth.
 
 __version__ = "0.1.0"
 
-from .cholesky import CholeskyParam, modified_cholesky, reconstruct_precision, sparsity_dag
-from .dag_wishart import DagWishartParams, log_density, log_z, log_z_column, posterior_params
+from .cholesky import CholeskyParam
 from .graphs import Dag, adjacency, log_prior_dag
 from .metrics import Confusion, auc, confusion, ls_refit, mspe, selection_metrics
 from .sampler import (
@@ -35,7 +34,6 @@ __all__ = [
     "ChainSummary",
     "Confusion",
     "Dag",
-    "DagWishartParams",
     "Dataset",
     "GroundTruth",
     "Hyperparameters",
@@ -50,20 +48,13 @@ __all__ = [
     "gen_scenario3",
     "gibbs_sweep",
     "init_state",
-    "log_density",
     "log_joint_score",
     "log_mrf_prior",
     "log_prior_dag",
-    "log_z",
-    "log_z_column",
     "ls_refit",
     "median_probability_model",
-    "modified_cholesky",
     "mspe",
-    "posterior_params",
     "propose_gamma",
-    "reconstruct_precision",
     "run_chain",
     "selection_metrics",
-    "sparsity_dag",
 ]

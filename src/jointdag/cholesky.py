@@ -1,4 +1,4 @@
-"""Modified Cholesky factorization of precision matrices.
+"""The modified Cholesky parameterization of precision matrices.
 
 A positive definite matrix Omega factors uniquely as
 ``Omega = L @ diag(1/dvec) @ L.T`` with L unit lower-triangular and
@@ -14,7 +14,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError, NotPositiveDefiniteError
-from .graphs import Dag
 
 
 @dataclass(frozen=True)
@@ -57,33 +56,3 @@ def spd_cholesky(A, name: str) -> np.ndarray:
         return np.linalg.cholesky((A + A.T) / 2.0)
     except np.linalg.LinAlgError as exc:
         raise NotPositiveDefiniteError(f"{name} is not positive definite") from exc
-
-
-def modified_cholesky(omega: np.ndarray) -> CholeskyParam:
-    """Factor a symmetric positive definite matrix as L diag(1/dvec) L^T.
-
-    The factor is obtained from the standard lower Cholesky decomposition
-    C C^T by normalizing each column of C; uniqueness of both
-    factorizations makes the results identical.
-    """
-    C = spd_cholesky(omega, "omega")
-    diag = np.diag(C).copy()
-    L = C / diag[np.newaxis, :]
-    dvec = 1.0 / diag**2
-    return CholeskyParam(L=L, dvec=dvec)
-
-
-def reconstruct_precision(param: CholeskyParam) -> np.ndarray:
-    """Rebuild the precision matrix L diag(1/dvec) L^T."""
-    return (param.L / param.dvec[np.newaxis, :]) @ param.L.T
-
-
-def sparsity_dag(param: CholeskyParam, tol: float = 1e-10) -> Dag:
-    """DAG read off the factor: i parents j when ``|L[i, j]| > tol``."""
-    if tol < 0:
-        raise ValueError("tol must be nonnegative")
-    p = param.p
-    parents = tuple(
-        tuple(i for i in range(j + 1, p) if abs(param.L[i, j]) > tol) for j in range(p)
-    )
-    return Dag(p, parents)

@@ -1,58 +1,34 @@
-"""Matrix-variate conjugate law on DAG-constrained Cholesky factors.
+"""The DAG-Wishart normalizer kernel and its memo.
 
-The density over (L, dvec) restricted to the sparsity space of a DAG is
+The conjugate matrix law on the Cholesky factors (L, dvec) of a
+precision matrix, restricted to the sparsity space of a DAG, has a
+normalizer z(U, alpha) that factors over vertices.  Vertex i's factor,
+with nu parents pa, is
 
-    (1/z) * exp(-tr(L diag(1/dvec) L^T U) / 2) * prod_i dvec_i^(-alpha_i / 2)
+    log z_i = const(alpha_i, nu) + c_gt * log det U[pa, pa]
+              - c_ge * log det U[pa + (i,), pa + (i,)]
 
-with a scale matrix U and one shape parameter per vertex.  The
-normalizer z factors over vertices; each factor involves determinants of
-the principal submatrices of U indexed by a vertex's parent set.
-Observing n rows X updates (U, alpha) conjugately to (U + X^T X, alpha + n).
+(``_log_z_coefs``).  Observing n rows X updates (U, alpha) to
+(U + X^T X, alpha + n), so the joint score needs, per column, the ratio
+of its posterior factor to its prior factor.  ``ColumnZDeltaCache``
+computes and memoizes that ratio; one stacked Cholesky factorization
+gives both log determinants of every block in a batch.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import repeat
-from typing import TYPE_CHECKING
 
 import numpy as np
 from numpy.linalg._umath_linalg import cholesky_lo as _cholesky_lo
 from scipy.special import gammaln
 
-from .cholesky import CholeskyParam
 from .errors import ImproperPriorError, NotPositiveDefiniteError
-from .graphs import Dag
-
-if TYPE_CHECKING:  # pragma: no cover
-    from .simdata import Dataset
 
 _LOG_2 = math.log(2.0)
 _LOG_PI = math.log(math.pi)
 _SCALE = "scale submatrix"
-
-
-@dataclass(frozen=True)
-class DagWishartParams:
-    """Scale matrix U (p x p, positive definite) and per-vertex shapes alpha."""
-
-    U: np.ndarray
-    alpha: np.ndarray
-
-    def __post_init__(self):
-        U = np.asarray(self.U, dtype=float)
-        alpha = np.asarray(self.alpha, dtype=float)
-        if U.ndim != 2 or U.shape[0] != U.shape[1]:
-            raise ValueError("U must be square")
-        if alpha.shape != (U.shape[0],):
-            raise ValueError("alpha length must match U")
-        object.__setattr__(self, "U", U)
-        object.__setattr__(self, "alpha", alpha)
-
-    @property
-    def p(self) -> int:
-        return self.U.shape[0]
 
 
 def _chol_diagonals(M: np.ndarray, idx: np.ndarray, name: str) -> np.ndarray:
@@ -91,95 +67,20 @@ def _log_diag_sums(
     return log_diag[:, :-1].sum(axis=1), log_diag[:, -1]
 
 
-def _logdet_pairs(
-    M: np.ndarray, idx: np.ndarray, name: str
-) -> tuple[np.ndarray, np.ndarray]:
-    """Log determinants of ``M[pa, pa]`` and ``M[pa + (i,), pa + (i,)]`` for
-    each row ``pa + (i,)`` of the integer array ``idx`` (all rows of one
-    length), from ``_log_diag_sums``.  The determinant of an empty block
-    is 1.
-    """
-    half_gt, last = _log_diag_sums(M, idx, name)
-    return 2.0 * half_gt, 2.0 * (half_gt + last)
-
-
 def _log_z_coefs(alpha, nu: int) -> tuple[float, float, float]:
-    """The constant and the coefficients of the two log determinants in
-    ``_log_z_terms``, which depend on the shape and parent count alone."""
+    """``(const, c_gt, c_ge)`` of one vertex's factor of the log normalizer
+    (module docstring), which depend on its shape and parent count alone."""
     half = 0.5 * (alpha - nu)
     const = gammaln(half - 1.0) + (0.5 * alpha - 1.0) * _LOG_2 + 0.5 * nu * _LOG_PI
     return float(const), half - 1.5, half - 1.0
 
 
 def _log_z_from_coefs(coefs, ld_gt, ld_ge):
-    """``_log_z_terms`` from the three ``_log_z_coefs``; elementwise over
-    arrays of coefficients and log determinants."""
+    """One vertex's factor of the log normalizer from its ``_log_z_coefs``
+    and the log determinants of its ``pa`` and ``pa + (i,)`` blocks;
+    elementwise over arrays of coefficients and log determinants."""
     const, c_gt, c_ge = coefs
     return const + c_gt * ld_gt - c_ge * ld_ge
-
-
-def _log_z_terms(alpha, nu: int, ld_gt, ld_ge):
-    """One vertex's factor of the log normalizer from its shape, parent
-    count and the two log determinants of ``_logdet_pairs``; elementwise
-    over arrays of log determinants."""
-    return _log_z_from_coefs(_log_z_coefs(alpha, nu), ld_gt, ld_ge)
-
-
-def _log_z_column_raw(U: np.ndarray, i: int, parents: tuple[int, ...], alpha_i: float) -> float:
-    """One vertex's factor of the log normalizer."""
-    nu = len(parents)
-    if 0.5 * (alpha_i - nu) <= 1.0:
-        raise ImproperPriorError(
-            f"vertex {i}: alpha - nu = {alpha_i - nu} but must exceed 2"
-        )
-    ld_gt, ld_ge = _logdet_pairs(U, np.array([parents + (i,)], dtype=np.intp), _SCALE)
-    return float(_log_z_terms(alpha_i, nu, ld_gt[0], ld_ge[0]))
-
-
-def log_z_column(dag: Dag, params: DagWishartParams, i: int) -> float:
-    """The i-th factor (0-based vertex) of the log normalizer."""
-    if not 0 <= i < dag.p:
-        raise ValueError(f"vertex {i} out of range")
-    return _log_z_column_raw(params.U, i, dag.parents[i], float(params.alpha[i]))
-
-
-def log_z(dag: Dag, params: DagWishartParams) -> float:
-    """Log normalizer: sum of the per-vertex factors."""
-    if params.p != dag.p:
-        raise ValueError("params dimension must match dag")
-    return sum(log_z_column(dag, params, i) for i in range(dag.p))
-
-
-def log_density(param: CholeskyParam, dag: Dag, params: DagWishartParams) -> float:
-    """Normalized log density at (L, dvec); -inf outside the sparsity space."""
-    p = dag.p
-    if param.p != p or params.p != p:
-        raise ValueError("dimension mismatch between param, dag, and params")
-    # Membership in the DAG's sparsity space: nonzero strictly-lower entries
-    # of L are allowed only at parent positions.
-    for j in range(p):
-        allowed = set(dag.parents[j])
-        for i in range(j + 1, p):
-            if param.L[i, j] != 0.0 and i not in allowed:
-                return -math.inf
-    omega = (param.L / param.dvec[np.newaxis, :]) @ param.L.T
-    kernel = -0.5 * float(np.sum(omega * params.U))
-    kernel -= 0.5 * float(np.sum(params.alpha * np.log(param.dvec)))
-    return kernel - log_z(dag, params)
-
-
-def posterior_params(params: DagWishartParams, data: "Dataset", dag: Dag) -> DagWishartParams:
-    """Conjugate update (U, alpha) -> (U + X^T X, alpha + n).
-
-    Rejects prior shapes that violate propriety for the given graph
-    rather than silently proceeding.
-    """
-    nu = np.array(dag.nu(), dtype=float)
-    if params.p != dag.p:
-        raise ValueError("params dimension must match dag")
-    if np.any(params.alpha - nu <= 2.0):
-        raise ImproperPriorError("prior shapes must satisfy alpha_i - nu_i > 2 for every vertex")
-    return DagWishartParams(U=params.U + data.gram, alpha=params.alpha + data.n)
 
 
 # Memo keys.  A parent set of a p-vertex graph is keyed by its packed
@@ -210,13 +111,13 @@ class ColumnZDeltaCache:
 
     ``delta(i, parents)`` returns the i-th factor of
     log z(U_post, n + alpha) - log z(U, alpha) under the shape rule
-    alpha_i = nu_i + offset, and ``deltas(vertices, parent_sets)`` returns
-    it for many (vertex, parent set) keys at once.  Results are cached per
-    vertex under the parent set's packed key (``packed_key``), so only a
-    column whose parent set changes needs a new value; callers that hold
-    packed bitsets look them up with ``packed_deltas``.  The misses of one
-    call are unpacked together into index rows, each its parents in
-    ascending order and then its vertex, and grouped by parent count;
+    alpha_i = nu_i + offset, and ``packed_deltas(vertices, bits)`` returns
+    it for many (vertex, packed parent bitset) keys at once.  Results are
+    cached per vertex under the parent set's packed key (``packed_key``),
+    so only a column whose parent set changes needs a new value.  The
+    misses of one call are unpacked together into index rows, each its
+    parents in ascending order and then its vertex, and grouped by parent
+    count;
     each group's ``U_post`` blocks are factored with one stacked Cholesky
     (``_log_diag_sums``): one factorization per miss, and one more of the
     same block of ``U``.  When ``U`` is the identity every prior-side log
@@ -318,16 +219,3 @@ class ColumnZDeltaCache:
         if miss.shape[0]:
             vals[miss] = self._fill(vertices[miss], bits[miss], [keys[k] for k in miss.tolist()])
         return vals
-
-    def deltas(self, vertices, parent_sets) -> list[float]:
-        """The values of the keys ``zip(vertices, parent_sets)`` in order;
-        every miss among them is computed in one ``_fill``."""
-        pairs = [(i, packed_key(pa, self.p)) for i, pa in zip(vertices, parent_sets)]
-        distinct = list(dict.fromkeys(pairs))
-        bits = np.frombuffer(b"".join(key for _, key in distinct), dtype=np.uint8)
-        vals = self.packed_deltas(
-            np.array([i for i, _ in distinct], dtype=np.intp),
-            bits.reshape(len(distinct), (self.p + 7) // 8),
-        )
-        found = dict(zip(distinct, vals.tolist()))
-        return [found[pair] for pair in pairs]

@@ -124,18 +124,3 @@ def dag_to_edge_csv(dag: Dag) -> str:
     """Serialize as "child,parent" lines with 1-based vertex indices."""
     lines = [f"{child + 1},{parent + 1}" for child, parent in dag.edges()]
     return "\n".join(lines) + ("\n" if lines else "")
-
-
-def dag_from_edge_csv(text: str, p: int) -> Dag:
-    """Parse the 1-based "child,parent" edge-list format."""
-    edges = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        try:
-            child_s, parent_s = line.split(",")
-            edges.append((int(child_s) - 1, int(parent_s) - 1))
-        except ValueError as exc:
-            raise ValueError(f"bad edge line {lineno}: {line!r}") from exc
-    return Dag.from_edges(p, edges)

@@ -83,22 +83,16 @@ class ChainStreams:
 # Proposal kernels
 
 
-def propose_gamma(gamma: np.ndarray, rng):
-    """Add/delete proposal on the inclusion vector.
+def propose_gamma(active: list[int], p: int, rng):
+    """Add/delete proposal on a length-p inclusion vector whose active
+    coordinates are the ascending list ``active``.
 
     With probability 1/2 a uniformly chosen active coordinate is cleared,
     otherwise a uniformly chosen inactive coordinate is set; when only
     one direction exists it is taken with probability 1.  Returns (flipped
     coordinate, is_add, forward log prob, reverse log prob).
     """
-    g = np.asarray(gamma)
-    return _propose_flip(np.flatnonzero(g).tolist(), g.shape[0], rng)
-
-
-def _propose_flip(ones: list[int], p: int, rng):
-    """``propose_gamma`` on a length-p inclusion vector whose active
-    coordinates are the ascending list ``ones``."""
-    k1 = len(ones)
+    k1 = len(active)
     k0 = p - k1
     if k1 == 0:
         do_delete = False
@@ -110,12 +104,12 @@ def _propose_flip(ones: list[int], p: int, rng):
         do_delete = rng.random() < 0.5
         lqf = _LOG_HALF - math.log(k1 if do_delete else k0)
     if do_delete:
-        k = ones[int(rng.random() * k1)]
+        k = active[int(rng.random() * k1)]
         n1 = k1 - 1
         lqr = -math.log(p - n1) if n1 == 0 else _LOG_HALF - math.log(p - n1)
     else:
         k = int(rng.random() * k0)  # the k-th inactive coordinate, counted from 0
-        for j in ones:
+        for j in active:
             if j > k:
                 break
             k += 1
@@ -377,7 +371,7 @@ def _column_deltas(state: ChainState, js: np.ndarray, is_add: np.ndarray):
 
 def _gamma_step(state: ChainState, stream) -> int | None:
     """One inclusion-vector move; returns the flipped variable, or None."""
-    k, adding, lqf, lqr = _propose_flip(state.active, state.p, stream)
+    k, adding, lqf, lqr = propose_gamma(state.active, state.p, stream)
     delta, new_active, new_marg, dmrf = _gamma_flip_parts(state, k, adding)
     if new_active is None:
         return None  # prior bound: zero-probability proposal

@@ -78,7 +78,7 @@ class ScoreEngine:
     which is quad.  Reading quad off the pivot, not as a difference of
     two log determinants, keeps its relative rounding error near 1e-16.
     ``marginals`` groups its misses by k and factors each group with one
-    stacked Cholesky, the kernel of the normalizer's ``_logdet_pairs``.
+    stacked Cholesky, the normalizer's kernel ``_chol_diagonals``.
 
     When Y'Y = 0, X'Y = 0 too and every quad is 0, but A's last row is
     zero, so no block is positive definite.  A[p, p] then holds 1: every

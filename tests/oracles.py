@@ -1,9 +1,14 @@
-"""Independent reference implementations used to validate the package.
+"""Reference implementations used to validate the package.
 
-Everything here recomputes quantities from scratch along a different
-route than the library: dense n-by-n linear algebra instead of the
-low-dimensional identities, fresh per-column normalizer evaluation with
-no memoization, and explicit loops instead of incremental updates.
+The first section is the restricted matrix law itself: its density, its
+normalizer one vertex at a time and the modified Cholesky
+parameterization.  Its normalizer is built on the primitives the
+package's memo runs, so quadrature of the density tests the package's
+own formula.  The dense references after it recompute quantities from
+scratch along a different route than the library: dense n-by-n linear
+algebra instead of the low-dimensional identities, fresh per-column
+normalizer evaluation with no memoization, and explicit loops instead
+of incremental updates.
 """
 
 import math
@@ -11,8 +16,69 @@ import math
 import numpy as np
 from scipy.special import gammaln
 
-from jointdag import Dag
+from jointdag import CholeskyParam, Dag
+from jointdag.cholesky import spd_cholesky
+from jointdag.dag_wishart import _log_diag_sums, _log_z_coefs, _log_z_from_coefs
 from jointdag.spike_slab import Hyperparameters
+
+
+# ---------------------------------------------------------------------------
+# The restricted matrix law of dag_wishart, on the package's own kernel
+
+
+def log_z_column(U, i, parents, alpha_i):
+    """Vertex i's factor of the log normalizer, composed from the three
+    primitives that ``ColumnZDeltaCache._fill`` runs; ``parents`` is an
+    ascending tuple."""
+    half_gt, last = _log_diag_sums(U, np.array([parents + (i,)], dtype=np.intp), "U")
+    ld_gt, ld_ge = 2.0 * half_gt[0], 2.0 * (half_gt[0] + last[0])
+    return float(_log_z_from_coefs(_log_z_coefs(alpha_i, len(parents)), ld_gt, ld_ge))
+
+
+def log_z(dag: Dag, U, alpha):
+    """Log normalizer: the sum of the per-vertex factors."""
+    return sum(log_z_column(U, i, dag.parents[i], float(alpha[i])) for i in range(dag.p))
+
+
+def log_density(param: CholeskyParam, dag: Dag, U, alpha):
+    """Normalized log density at (L, dvec); -inf outside the sparsity space."""
+    p = dag.p
+    # Membership in the DAG's sparsity space: nonzero strictly-lower entries
+    # of L are allowed only at parent positions.
+    for j in range(p):
+        allowed = set(dag.parents[j])
+        for i in range(j + 1, p):
+            if param.L[i, j] != 0.0 and i not in allowed:
+                return -math.inf
+    kernel = -0.5 * float(np.sum(reconstruct_precision(param) * U))
+    kernel -= 0.5 * float(np.sum(alpha * np.log(param.dvec)))
+    return kernel - log_z(dag, U, alpha)
+
+
+def modified_cholesky(omega) -> CholeskyParam:
+    """Factor a symmetric positive definite matrix as L diag(1/dvec) L^T,
+    by normalizing the columns of its lower Cholesky factor."""
+    C = spd_cholesky(omega, "omega")
+    diag = np.diag(C).copy()
+    return CholeskyParam(L=C / diag[np.newaxis, :], dvec=1.0 / diag**2)
+
+
+def reconstruct_precision(param: CholeskyParam):
+    """Rebuild the precision matrix L diag(1/dvec) L^T."""
+    return (param.L / param.dvec[np.newaxis, :]) @ param.L.T
+
+
+def sparsity_dag(param: CholeskyParam, tol: float = 1e-10) -> Dag:
+    """DAG read off the factor: i parents j when ``|L[i, j]| > tol``."""
+    p = param.p
+    parents = tuple(
+        tuple(i for i in range(j + 1, p) if abs(param.L[i, j]) > tol) for j in range(p)
+    )
+    return Dag(p, parents)
+
+
+# ---------------------------------------------------------------------------
+# Dense references
 
 
 def dense_log_z(U, parents_per_vertex, alpha):
@@ -114,14 +180,11 @@ def quadrature_normalization(alpha=(4.0, 3.0), n_nodes=48):
     integral is computed in the substituted coordinates u = D11^(-1/2),
     t = D22^(-1/2), v = L21 * u, where the integrand becomes a smooth
     Gaussian-like function on a box, so Gauss-Legendre nodes converge
-    fast while every evaluation still goes through the library's
-    log_density.
+    fast while every evaluation still goes through ``log_density`` and so
+    through the package's normalizer kernel.
     """
-    from jointdag import CholeskyParam, Dag
-    from jointdag.dag_wishart import DagWishartParams, log_density
-
     dag = Dag(2, ((1,), ()))
-    params = DagWishartParams(np.eye(2), np.asarray(alpha, dtype=float))
+    U, alpha = np.eye(2), np.asarray(alpha, dtype=float)
 
     nodes, weights = np.polynomial.legendre.leggauss(n_nodes)
 
@@ -144,7 +207,7 @@ def quadrature_normalization(alpha=(4.0, 3.0), n_nodes=48):
             jac_ut = jac_u * ct / t**3
             for v, cv in zip(xv, wv):
                 L = np.array([[1.0, 0.0], [v / u, 1.0]])
-                val = log_density(CholeskyParam(L=L, dvec=dvec), dag, params)
+                val = log_density(CholeskyParam(L=L, dvec=dvec), dag, U, alpha)
                 total += jac_ut * cv * math.exp(val)
     return total
 
@@ -168,7 +231,4 @@ def random_cholesky_param(rng, dag: Dag, scale=1.0):
     for c in range(p):
         for j in dag.parents[c]:
             L[j, c] = scale * rng.normal()
-    dvec = rng.uniform(0.5, 2.0, size=p)
-    from jointdag import CholeskyParam
-
-    return CholeskyParam(L=L, dvec=dvec)
+    return CholeskyParam(L=L, dvec=rng.uniform(0.5, 2.0, size=p))

@@ -1,16 +1,10 @@
 import numpy as np
 import pytest
 
-from jointdag import (
-    CholeskyParam,
-    Dag,
-    modified_cholesky,
-    reconstruct_precision,
-    sparsity_dag,
-)
+from jointdag import CholeskyParam, Dag
 from jointdag.errors import NotPositiveDefiniteError
 
-from oracles import random_dag
+from oracles import modified_cholesky, random_dag, reconstruct_precision, sparsity_dag
 
 
 def bounded_param(rng, dag, lo=0.3, hi=1.5):

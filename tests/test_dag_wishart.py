@@ -4,40 +4,40 @@ import numpy as np
 import pytest
 from scipy.special import gammaln
 
-from jointdag import (
-    CholeskyParam,
-    Dag,
-    Dataset,
+from jointdag import CholeskyParam, Dag
+from jointdag import dag_wishart
+from jointdag.dag_wishart import ColumnZDeltaCache, pack_bitsets, packed_key, packed_keys
+from jointdag.errors import ImproperPriorError, NotPositiveDefiniteError
+
+from oracles import (
+    dense_log_z,
     log_density,
     log_z,
     log_z_column,
-    posterior_params,
+    quadrature_normalization,
+    random_cholesky_param,
+    random_dag,
     reconstruct_precision,
 )
-from jointdag import dag_wishart
-from jointdag.dag_wishart import (
-    ColumnZDeltaCache,
-    DagWishartParams,
-    _log_z_column_raw,
-    pack_bitsets,
-    packed_key,
-    packed_keys,
-)
-from jointdag.errors import ImproperPriorError, NotPositiveDefiniteError
 
-from oracles import dense_log_z, quadrature_normalization, random_cholesky_param, random_dag
+
+def packed_lookup(cache, keys):
+    """``cache.packed_deltas`` on a list of distinct (vertex, parent tuple)
+    keys, packed as the sampler packs them."""
+    member = np.zeros((len(keys), cache.p), dtype=bool)
+    for row, (_, pa) in zip(member, keys):
+        row[list(pa)] = True
+    return cache.packed_deltas(np.array([i for i, _ in keys], dtype=np.intp), pack_bitsets(member))
 
 
 class TestLogZColumn:
     def test_p1_closed_form(self):
-        params = DagWishartParams(np.eye(1), np.array([3.0]))
-        assert log_z_column(Dag.empty(1), params, 0) == pytest.approx(
+        assert log_z_column(np.eye(1), 0, (), 3.0) == pytest.approx(
             math.log(math.sqrt(math.pi) * math.sqrt(2)), abs=1e-7
         )
 
     def test_one_parent_identity_scale(self):
-        params = DagWishartParams(np.eye(2), np.array([4.0, 3.0]))
-        assert log_z_column(Dag(2, ((1,), ())), params, 0) == pytest.approx(
+        assert log_z_column(np.eye(2), 0, (1,), 4.0) == pytest.approx(
             math.log(2 * math.pi), abs=1e-7
         )
 
@@ -46,25 +46,19 @@ class TestLogZColumn:
         for _ in range(10):
             u = rng.uniform(0.2, 3.0, size=3)
             a = rng.uniform(3.0, 9.0, size=3)
-            params = DagWishartParams(np.diag(u), a)
             for i in range(3):
                 expect = gammaln(a[i] / 2 - 1) + (a[i] / 2 - 1) * math.log(2 / u[i])
-                assert log_z_column(Dag.empty(3), params, i) == pytest.approx(expect, abs=1e-10)
-
-    def test_improper_shape_rejected(self):
-        params = DagWishartParams(np.eye(2), np.array([3.0, 3.0]))
-        with pytest.raises(ImproperPriorError):
-            log_z_column(Dag(2, ((1,), ())), params, 0)  # alpha - nu = 2
+                assert log_z_column(np.diag(u), i, (), a[i]) == pytest.approx(expect, abs=1e-10)
 
 
 class TestLogZ:
     def test_empty_p2(self):
-        params = DagWishartParams(np.eye(2), np.array([3.0, 3.0]))
-        assert log_z(Dag.empty(2), params) == pytest.approx(2 * math.log(math.sqrt(2 * math.pi)))
+        assert log_z(Dag.empty(2), np.eye(2), np.array([3.0, 3.0])) == pytest.approx(
+            2 * math.log(math.sqrt(2 * math.pi))
+        )
 
     def test_one_edge_p2(self):
-        params = DagWishartParams(np.eye(2), np.array([4.0, 3.0]))
-        assert log_z(Dag(2, ((1,), ())), params) == pytest.approx(
+        assert log_z(Dag(2, ((1,), ())), np.eye(2), np.array([4.0, 3.0])) == pytest.approx(
             math.log(2 * math.pi * math.sqrt(2 * math.pi))
         )
 
@@ -76,8 +70,7 @@ class TestLogZ:
             A = rng.standard_normal((p, p))
             U = A @ A.T + p * np.eye(p)
             alpha = np.array(dag.nu(), dtype=float) + rng.uniform(2.5, 8.0)
-            params = DagWishartParams(U, alpha)
-            assert log_z(dag, params) == pytest.approx(
+            assert log_z(dag, U, alpha) == pytest.approx(
                 dense_log_z(U, dag.parents, alpha), abs=1e-9
             )
 
@@ -91,7 +84,7 @@ class TestLogZ:
         A = rng.standard_normal((p, p))
         U = A @ A.T + p * np.eye(p)
         alpha = np.array(dag.nu(), dtype=float) + 5.0
-        base = log_z(dag, DagWishartParams(U, alpha))
+        base = log_z(dag, U, alpha)
         used = set()
         for i in range(p):
             idx = (i,) + dag.parents[i]
@@ -102,33 +95,32 @@ class TestLogZ:
             U2 = U.copy()
             U2[a, b] += 0.31
             U2[b, a] += 0.31
-            assert log_z(dag, DagWishartParams(U2, alpha)) == base
+            assert log_z(dag, U2, alpha) == base
 
 
 class TestLogDensity:
     def test_p1_value(self):
-        params = DagWishartParams(np.eye(1), np.array([3.0]))
-        val = log_density(CholeskyParam(np.eye(1), np.ones(1)), Dag.empty(1), params)
+        param = CholeskyParam(np.eye(1), np.ones(1))
+        val = log_density(param, Dag.empty(1), np.eye(1), np.array([3.0]))
         assert val == pytest.approx(-0.5 - 0.9189385, abs=1e-6)
 
     def test_outside_sparsity_space(self):
-        params = DagWishartParams(np.eye(2), np.array([4.0, 3.0]))
         param = CholeskyParam(np.array([[1.0, 0.0], [0.4, 1.0]]), np.ones(2))
-        assert log_density(param, Dag.empty(2), params) == -math.inf
+        assert log_density(param, Dag.empty(2), np.eye(2), np.array([4.0, 3.0])) == -math.inf
 
     def test_ratio_independent_of_normalizer(self):
         rng = np.random.default_rng(3)
         dag = random_dag(rng, 4)
         alpha = np.array(dag.nu(), dtype=float) + 6.0
-        params = DagWishartParams(np.eye(4), alpha)
+        U = np.eye(4)
         p1 = random_cholesky_param(rng, dag)
         p2 = random_cholesky_param(rng, dag)
 
         def kernel(cp):
             omega = reconstruct_precision(cp)
-            return -0.5 * np.sum(omega * params.U) - 0.5 * np.sum(alpha * np.log(cp.dvec))
+            return -0.5 * np.sum(omega * U) - 0.5 * np.sum(alpha * np.log(cp.dvec))
 
-        diff = log_density(p1, dag, params) - log_density(p2, dag, params)
+        diff = log_density(p1, dag, U, alpha) - log_density(p2, dag, U, alpha)
         assert diff == pytest.approx(kernel(p1) - kernel(p2), abs=1e-9)
 
     def test_conjugacy_pointwise(self):
@@ -136,10 +128,9 @@ class TestLogDensity:
         p, n = 4, 12
         dag = random_dag(rng, p)
         alpha = np.array(dag.nu(), dtype=float) + 7.0
-        prior = DagWishartParams(np.eye(p), alpha)
+        U = np.eye(p)
         X = rng.standard_normal((n, p))
-        data = Dataset(X, rng.standard_normal(n))
-        post = posterior_params(prior, data, dag)
+        U_post, alpha_post = U + X.T @ X, alpha + n
 
         def loglik(cp):
             omega = reconstruct_precision(cp)
@@ -149,43 +140,9 @@ class TestLogDensity:
         consts = []
         for _ in range(8):
             cp = random_cholesky_param(rng, dag)
-            consts.append(
-                log_density(cp, dag, prior) + loglik(cp) - log_density(cp, dag, post)
-            )
+            prior, post = log_density(cp, dag, U, alpha), log_density(cp, dag, U_post, alpha_post)
+            consts.append(prior + loglik(cp) - post)
         assert max(consts) - min(consts) < 1e-8
-
-
-class TestPosteriorParams:
-    def test_zero_design(self):
-        prior = DagWishartParams(np.eye(3), np.array([10.0, 10.0, 10.0]))
-        data = Dataset(np.zeros((4, 3)), np.zeros(4))
-        post = posterior_params(prior, data, Dag.empty(3))
-        assert np.array_equal(post.U, prior.U)
-        assert np.array_equal(post.alpha, prior.alpha + 4)
-
-    def test_no_data_is_identity(self):
-        prior = DagWishartParams(np.eye(2), np.array([5.0, 5.0]))
-        data = Dataset(np.zeros((0, 2)), np.zeros(0))
-        post = posterior_params(prior, data, Dag.empty(2))
-        assert np.array_equal(post.U, prior.U)
-        assert np.array_equal(post.alpha, prior.alpha)
-
-    def test_matches_dense_product(self):
-        rng = np.random.default_rng(5)
-        X = rng.standard_normal((10, 3))
-        data = Dataset(X, rng.standard_normal(10))
-        prior = DagWishartParams(np.eye(3), np.full(3, 11.0))
-        post = posterior_params(prior, data, Dag.empty(3))
-        dense = np.zeros((3, 3))
-        for i in range(10):
-            dense += np.outer(X[i], X[i])
-        assert np.allclose(post.U, np.eye(3) + dense, atol=1e-10)
-
-    def test_rejects_improper_prior(self):
-        prior = DagWishartParams(np.eye(2), np.array([3.0, 3.0]))
-        data = Dataset(np.zeros((2, 2)), np.zeros(2))
-        with pytest.raises(ImproperPriorError):
-            posterior_params(prior, data, Dag(2, ((1,), ())))
 
 
 class TestColumnZDeltaCache:
@@ -198,9 +155,7 @@ class TestColumnZDeltaCache:
         for _ in range(10):
             dag = random_dag(rng, p)
             alpha = np.array(dag.nu(), dtype=float) + offset
-            prior = DagWishartParams(U, alpha)
-            post = DagWishartParams(U + X.T @ X, alpha + n)
-            direct = log_z(dag, post) - log_z(dag, prior)
+            direct = log_z(dag, U + X.T @ X, alpha + n) - log_z(dag, U, alpha)
             total = sum(cache.delta(i, dag.parents[i]) for i in range(p))
             assert total == pytest.approx(direct, abs=1e-10)
             # second lookup hits the memo and is identical
@@ -230,7 +185,7 @@ class TestColumnZDeltaCache:
         assert {len(pa) for _, pa in keys} == set(range(R))
         for i, pa in keys:
             a = len(pa) + offset
-            direct = _log_z_column_raw(U_post, i, pa, n + a) - _log_z_column_raw(U, i, pa, a)
+            direct = log_z_column(U_post, i, pa, n + a) - log_z_column(U, i, pa, a)
             assert cache.delta(i, pa) == direct
 
     def test_diagonal_scale_matches_direct_difference(self):
@@ -242,9 +197,7 @@ class TestColumnZDeltaCache:
         for _ in range(20):
             dag = random_dag(rng, p)
             alpha = np.array(dag.nu(), dtype=float) + offset
-            direct = log_z(dag, DagWishartParams(U + X.T @ X, alpha + n)) - log_z(
-                dag, DagWishartParams(U, alpha)
-            )
+            direct = log_z(dag, U + X.T @ X, alpha + n) - log_z(dag, U, alpha)
             total = sum(cache.delta(i, dag.parents[i]) for i in range(p))
             assert total == pytest.approx(direct, abs=1e-10)
 
@@ -257,10 +210,10 @@ class TestColumnZDeltaCache:
         U_post = U + X.T @ X
         keys = list(dict.fromkeys(self._keys(rng, p, R - 1, 600)))
         assert {len(pa) for _, pa in keys} == set(range(R))
-        vals = ColumnZDeltaCache(U, U_post, n, offset).deltas(*zip(*keys))
+        vals = packed_lookup(ColumnZDeltaCache(U, U_post, n, offset), keys)
         for (i, pa), val in zip(keys, vals):
             a = len(pa) + offset
-            direct = _log_z_column_raw(U_post, i, pa, n + a) - _log_z_column_raw(U, i, pa, a)
+            direct = log_z_column(U_post, i, pa, n + a) - log_z_column(U, i, pa, a)
             assert abs(val - direct) <= 1e-10
 
     @pytest.mark.parametrize("scale", ["identity", "diagonal"])
@@ -269,10 +222,15 @@ class TestColumnZDeltaCache:
         p, n = 20, 15
         X = rng.standard_normal((n, p))
         U = np.eye(p) if scale == "identity" else np.diag(np.linspace(0.5, 3.0, p))
-        keys = self._keys(rng, p, 6, 300)
-        batch = ColumnZDeltaCache(U, U + X.T @ X, n, 10.0).deltas(*zip(*keys))
+        keys = list(dict.fromkeys(self._keys(rng, p, 6, 300)))
+        batch = packed_lookup(ColumnZDeltaCache(U, U + X.T @ X, n, 10.0), keys)
         single = ColumnZDeltaCache(U, U + X.T @ X, n, 10.0)
-        assert batch == [single.delta(i, pa) for i, pa in keys]
+        assert batch.tolist() == [single.delta(i, pa) for i, pa in keys]
+
+    def test_improper_offset_rejected(self):
+        # alpha_i - nu_i = offset must exceed 2 for every prior factor
+        with pytest.raises(ImproperPriorError):
+            ColumnZDeltaCache(np.eye(3), 2.0 * np.eye(3), 4, 2.0)
 
     def test_batch_with_one_non_pd_block_raises(self):
         p = 5
@@ -280,7 +238,7 @@ class TestColumnZDeltaCache:
         U_post[3, 4] = U_post[4, 3] = 2.0  # the (3, 4) block is indefinite
         cache = ColumnZDeltaCache(np.eye(p), U_post, 4, 10.0)
         with pytest.raises(NotPositiveDefiniteError):
-            cache.deltas([0, 3, 1], [(1,), (4,), (2,)])  # one stack of three blocks
+            packed_lookup(cache, [(0, (1,)), (3, (4,)), (1, (2,))])  # one stack of three blocks
 
     @pytest.mark.parametrize("scale, per_miss", [("identity", 1), ("diagonal", 2)])
     def test_factorizations_per_miss(self, monkeypatch, scale, per_miss):
@@ -300,7 +258,7 @@ class TestColumnZDeltaCache:
         cache.delta(3, (4, 6))
         assert [math.prod(b) for b in blocks] == [1] * per_miss
         cache.delta(3, (4, 6))  # a hit factors nothing
-        cache.deltas([1, 2, 1, 3], [(2, 5), (3, 7), (2, 5), (4, 6)])
+        packed_lookup(cache, [(1, (2, 5)), (2, (3, 7)), (3, (4, 6))])
         assert sum(math.prod(b) for b in blocks) == 3 * per_miss
 
 

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from jointdag import Dag, adjacency, log_prior_dag
-from jointdag.graphs import dag_from_edge_csv, dag_to_edge_csv
+from jointdag.graphs import dag_to_edge_csv
 
 from oracles import random_dag
 
@@ -85,10 +85,8 @@ class TestLogPriorDag:
 
 class TestSerialization:
     def test_edge_csv_roundtrip(self):
-        d = Dag(4, ((1, 3), (2,), (), ()))
-        text = dag_to_edge_csv(d)
-        assert "1,2" in text  # 1-based indices on disk
-        assert dag_from_edge_csv(text, 4) == d
+        # "child,parent" lines with 1-based indices, in edge order
+        assert dag_to_edge_csv(Dag(4, ((1, 3), (2,), (), ()))) == "1,2\n1,4\n2,3\n"
 
     def test_empty_roundtrip(self):
-        assert dag_from_edge_csv(dag_to_edge_csv(Dag.empty(3)), 3) == Dag.empty(3)
+        assert dag_to_edge_csv(Dag.empty(3)) == ""

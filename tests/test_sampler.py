@@ -72,7 +72,7 @@ def _force_gamma_move(gamma, k):
     draws = [0.25 if deleting else 0.75] if 0 < sum(gamma) < p else []
     draws.append((pool.index(k) + 0.5) / len(pool))
     rng = FakeRng(draws)
-    move = propose_gamma(gamma, rng)
+    move = propose_gamma(np.flatnonzero(gamma).tolist(), p, rng)
     assert move[:2] == (k, not deleting) and rng.values == []
     return move
 
@@ -117,40 +117,36 @@ def _force_column_move(parents, c, j, p):
 
 class TestProposeGamma:
     def test_exact_kernel_probs(self):
-        g = np.array([1, 0, 0], dtype=np.int8)
-        # forced path values: move type then coordinate
-        k, adding, lqf, lqr = propose_gamma(g, FakeRng([0.3, 0.5]))  # delete the only 1
+        # forced path values: move type then coordinate; gamma = (1, 0, 0)
+        k, adding, lqf, lqr = propose_gamma([0], 3, FakeRng([0.3, 0.5]))  # delete the only 1
         assert (k, adding) == (0, False)
         assert lqf == pytest.approx(math.log(0.5))
         assert lqr == pytest.approx(math.log(1 / 3))  # back from empty: forced add
-        k, adding, lqf, lqr = propose_gamma(g, FakeRng([0.7, 0.1]))  # add first zero
+        k, adding, lqf, lqr = propose_gamma([0], 3, FakeRng([0.7, 0.1]))  # add first zero
         assert (k, adding) == (1, True)
         assert lqf == pytest.approx(math.log(0.25))
 
     def test_degenerate_all_zero(self):
-        g = np.zeros(3, dtype=np.int8)
-        k, adding, lqf, _ = propose_gamma(g, FakeRng([0.9]))
+        k, adding, lqf, _ = propose_gamma([], 3, FakeRng([0.9]))
         assert (k, adding) == (2, True)
         assert lqf == pytest.approx(math.log(1 / 3))
 
     def test_degenerate_all_one(self):
-        g = np.ones(3, dtype=np.int8)
-        k, adding, lqf, lqr = propose_gamma(g, FakeRng([0.0]))
+        k, adding, lqf, lqr = propose_gamma([0, 1, 2], 3, FakeRng([0.0]))
         assert (k, adding) == (0, False)
         assert lqf == pytest.approx(math.log(1 / 3))
         assert lqr == pytest.approx(math.log(0.5 / 1))
 
     def test_p1_roundtrip(self):
-        move = propose_gamma(np.zeros(1, dtype=np.int8), FakeRng([0.2]))
+        move = propose_gamma([], 1, FakeRng([0.2]))
         assert move == (0, True, 0.0, 0.0)
 
     def test_empirical_frequencies(self):
         rng = np.random.default_rng(0)
-        g = np.array([1, 0, 0], dtype=np.int8)
         counts = Counter()
         n = 100000
         for _ in range(n):
-            k, adding, _, _ = propose_gamma(g, rng)
+            k, adding, _, _ = propose_gamma([0], 3, rng)
             counts[(k, adding)] += 1
         for outcome, prob in {(0, False): 0.5, (1, True): 0.25, (2, True): 0.25}.items():
             sd = math.sqrt(n * prob * (1 - prob))
@@ -253,7 +249,7 @@ class TestFlipRatios:
         gamma = np.array([1, 0, 0, 0], dtype=np.int8)
         dag = Dag.empty(4)
         state = init_state(data, hyper, init=(gamma, dag))
-        k, adding, lqf, lqr = propose_gamma(gamma, FakeRng([0.7, 0.1]))
+        k, adding, lqf, lqr = propose_gamma([0], 4, FakeRng([0.7, 0.1]))
         new_g = gamma.copy()
         new_g[k] = adding
         s_old = log_joint_score(gamma, dag, data, hyper, state.engine).log_score

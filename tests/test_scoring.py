@@ -47,16 +47,27 @@ class TestLogJointScore:
         assert score.delta_log_z == pytest.approx(0.0, abs=1e-12)
         assert score.log_marginal == pytest.approx(0.0, abs=1e-12)
 
-    @pytest.mark.parametrize("sigma2", [None, 1.3])
-    def test_matches_dense_oracle(self, sigma2):
+    @pytest.mark.parametrize(
+        "sigma2, scale",
+        [(None, "identity"), (1.3, "identity"), (None, "general"), (1.3, "general")],
+        ids=["None", "1.3", "None-general", "1.3-general"],
+    )
+    def test_matches_dense_oracle(self, sigma2, scale):
+        # A general U takes the normalizer memo's non-identity prior branch.
         rng = np.random.default_rng(1)
-        data = toy_data(rng, 30, 4)
-        h = Hyperparameters(sigma2=sigma2)
+        if scale == "identity":
+            p, pairs, U = 4, 25, None
+        else:
+            p, pairs = 5, 80
+            A = rng.standard_normal((p, p))
+            U = A @ A.T + p * np.eye(p)
+        data = toy_data(rng, 30, p)
+        h = Hyperparameters(sigma2=sigma2, U=U)
         engine = ScoreEngine(data, h)
-        for _ in range(25):
-            dag = random_dag(rng, 4)
-            gamma = rng.integers(0, 2, size=4)
-            if gamma.sum() >= h.effective_R(4):
+        for _ in range(pairs):
+            dag = random_dag(rng, p)
+            gamma = rng.integers(0, 2, size=p)
+            if gamma.sum() >= h.effective_R(p):
                 continue
             mine = log_joint_score(gamma, dag, data, h, engine).log_score
             dense = dense_log_joint_score(gamma, dag, data.X, data.Y, h)

@@ -1,15 +1,7 @@
 import numpy as np
 import pytest
 
-from jointdag import (
-    Dataset,
-    gen_scenario1,
-    gen_scenario2,
-    gen_scenario3,
-    modified_cholesky,
-    reconstruct_precision,
-    sparsity_dag,
-)
+from jointdag import Dataset, gen_scenario1, gen_scenario2, gen_scenario3
 from jointdag.errors import DataError, DimensionError
 from jointdag.graphs import Dag
 from jointdag.simdata import (
@@ -19,6 +11,8 @@ from jointdag.simdata import (
     load_matrix_csv,
     save_matrix_csv,
 )
+
+from oracles import modified_cholesky, reconstruct_precision, sparsity_dag
 
 
 class TestDataset:
