@@ -8,7 +8,8 @@ with nu parents pa, is
     log z_i = const(alpha_i, nu) + c_gt * log det U[pa, pa]
               - c_ge * log det U[pa + (i,), pa + (i,)]
 
-(``_log_z_coefs``).  Observing n rows X updates (U, alpha) to
+(``_log_z_coefs``), where const holds log Gamma((alpha_i - nu) / 2 - 1),
+computed with ``math.lgamma``.  Observing n rows X updates (U, alpha) to
 (U + X^T X, alpha + n), so the joint score needs, per column, the ratio
 of its posterior factor to its prior factor.  ``ColumnZDeltaCache``
 computes and memoizes that ratio; one stacked Cholesky factorization
@@ -22,9 +23,8 @@ from itertools import repeat
 
 import numpy as np
 from numpy.linalg._umath_linalg import cholesky_lo as _cholesky_lo
-from scipy.special import gammaln
 
-from .errors import ImproperPriorError, NotPositiveDefiniteError
+from .errors import NotPositiveDefiniteError
 
 _LOG_2 = math.log(2.0)
 _LOG_PI = math.log(math.pi)
@@ -71,8 +71,8 @@ def _log_z_coefs(alpha, nu: int) -> tuple[float, float, float]:
     """``(const, c_gt, c_ge)`` of one vertex's factor of the log normalizer
     (module docstring), which depend on its shape and parent count alone."""
     half = 0.5 * (alpha - nu)
-    const = gammaln(half - 1.0) + (0.5 * alpha - 1.0) * _LOG_2 + 0.5 * nu * _LOG_PI
-    return float(const), half - 1.5, half - 1.0
+    const = math.lgamma(half - 1.0) + (0.5 * alpha - 1.0) * _LOG_2 + 0.5 * nu * _LOG_PI
+    return const, half - 1.5, half - 1.0
 
 
 def _log_z_from_coefs(coefs, ld_gt, ld_ge):
@@ -123,12 +123,11 @@ class ColumnZDeltaCache:
     same block of ``U``.  When ``U`` is the identity every prior-side log
     determinant is exactly 0.0, so the prior factor depends on the parent
     count alone; it is then memoized by that count and a miss factors
-    only its posterior block.
+    only its posterior block.  ``offset`` must exceed 2 for the prior to
+    be proper; ``Hyperparameters`` checks it.
     """
 
     def __init__(self, U: np.ndarray, U_post: np.ndarray, n: int, offset: float):
-        if offset <= 2.0:
-            raise ImproperPriorError(f"shape offset must exceed 2, got {offset}")
         self.U = np.asarray(U, dtype=float)
         self.U_post = np.asarray(U_post, dtype=float)
         self.n = int(n)

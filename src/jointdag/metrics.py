@@ -6,7 +6,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
 from .errors import DimensionError, RankDeficientError, UndefinedAUCError
 from .simdata import Dataset
@@ -96,12 +95,12 @@ def ls_refit(data: Dataset, gamma: np.ndarray) -> np.ndarray:
         return np.zeros(0)
     gram = data.gram[np.ix_(idx, idx)]
     try:
-        chol = cho_factor(gram, lower=True)
+        chol = np.linalg.cholesky(gram)
     except np.linalg.LinAlgError as exc:
         raise RankDeficientError("selected Gram matrix is singular") from exc
-    if np.any(np.diag(chol[0]) ** 2 <= 1e-12 * np.diag(gram)):
+    if np.any(np.diag(chol) ** 2 <= 1e-12 * np.diag(gram)):
         raise RankDeficientError("selected Gram matrix is singular to working precision")
-    return cho_solve(chol, data.xty[idx])
+    return np.linalg.solve(chol.T, np.linalg.solve(chol, data.xty[idx]))
 
 
 def mspe(beta_hat: np.ndarray, gamma: np.ndarray, test: Dataset) -> float:

@@ -22,7 +22,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
 from .cholesky import CholeskyParam
 from .errors import DataError, DimensionError
@@ -243,9 +242,9 @@ def _active_network_closed(gamma: np.ndarray, dag: Dag) -> bool:
 
 
 def _sigma_from_chol(L: np.ndarray, dvec: np.ndarray) -> np.ndarray:
-    """Covariance (L diag(1/dvec) L^T)^-1 via triangular solves."""
-    p = L.shape[0]
-    Linv = solve_triangular(L, np.eye(p), lower=True, unit_diagonal=True)
+    """Covariance (L diag(1/dvec) L^T)^-1 from the inverse of the unit
+    lower-triangular L."""
+    Linv = np.linalg.inv(L)
     return Linv.T @ (dvec[:, np.newaxis] * Linv)
 
 

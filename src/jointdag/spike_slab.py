@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .cholesky import spd_cholesky
+from .errors import ImproperPriorError
 
 
 @dataclass(frozen=True)
@@ -59,7 +60,7 @@ class Hyperparameters:
         if self.R is not None and (int(self.R) != self.R or self.R < 1):
             raise ValueError(f"R (complexity bound) must be a positive integer, got {self.R}")
         if self.alpha_offset <= 2:
-            raise ValueError(f"alpha_offset must exceed 2, got {self.alpha_offset}")
+            raise ImproperPriorError(f"alpha_offset must exceed 2, got {self.alpha_offset}")
         if self.U is not None:
             spd_cholesky(self.U, "U")
 

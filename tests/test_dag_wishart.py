@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.special import gammaln
 
-from jointdag import CholeskyParam, Dag
+from jointdag import CholeskyParam, Dag, Hyperparameters
 from jointdag import dag_wishart
 from jointdag.dag_wishart import ColumnZDeltaCache, pack_bitsets, packed_key, packed_keys
 from jointdag.errors import ImproperPriorError, NotPositiveDefiniteError
@@ -49,6 +49,24 @@ class TestLogZColumn:
             for i in range(3):
                 expect = gammaln(a[i] / 2 - 1) + (a[i] / 2 - 1) * math.log(2 / u[i])
                 assert log_z_column(np.diag(u), i, (), a[i]) == pytest.approx(expect, abs=1e-10)
+
+
+class TestLogZCoefs:
+    @pytest.mark.parametrize("offset", [2.5, 3.0, 4.0, 4.0001, 5.5, 10.0, 10.25, 37.3])
+    def test_constant_matches_scipy_gammaln(self, offset):
+        # The posterior and prior factors take log Gamma at
+        # 0.5 * (n + offset) - 1 and 0.5 * offset - 1, for any parent count.
+        worst = 0.0
+        for nu in (0, 1, 7):
+            for alpha in [nu + offset] + [n + nu + offset for n in range(1, 5001)]:
+                const = dag_wishart._log_z_coefs(alpha, nu)[0]
+                expect = (
+                    gammaln(0.5 * (alpha - nu) - 1.0)
+                    + (0.5 * alpha - 1.0) * math.log(2.0)
+                    + 0.5 * nu * math.log(math.pi)
+                )
+                worst = max(worst, abs(const - expect) / abs(expect))
+        assert worst <= 1e-14
 
 
 class TestLogZ:
@@ -228,9 +246,11 @@ class TestColumnZDeltaCache:
         assert batch.tolist() == [single.delta(i, pa) for i, pa in keys]
 
     def test_improper_offset_rejected(self):
-        # alpha_i - nu_i = offset must exceed 2 for every prior factor
-        with pytest.raises(ImproperPriorError):
-            ColumnZDeltaCache(np.eye(3), 2.0 * np.eye(3), 4, 2.0)
+        # alpha_i - nu_i = offset must exceed 2 for every prior factor.  The
+        # cache takes its offset from Hyperparameters, the one place that
+        # checks it; the message names the key first for the CLI.
+        with pytest.raises(ImproperPriorError, match=r"^alpha_offset must exceed 2"):
+            Hyperparameters(alpha_offset=2.0)
 
     def test_batch_with_one_non_pd_block_raises(self):
         p = 5

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.linalg import cho_factor, cho_solve
 
 from jointdag import Confusion, Dataset, auc, confusion, ls_refit, mspe, selection_metrics
 from jointdag.errors import DimensionError, RankDeficientError, UndefinedAUCError
@@ -136,6 +137,38 @@ class TestLsRefit:
         data = Dataset(X, np.ones(4))
         with pytest.raises(RankDeficientError):
             ls_refit(data, np.ones(2))
+
+    @staticmethod
+    def _correlated(seed, n=120, p=30):
+        rng = np.random.default_rng(seed)
+        X = rng.standard_normal((n, p))
+        X[:, 1:] += 0.6 * X[:, :-1]
+        beta = rng.uniform(0.5, 2.0, p) * rng.choice([-1.0, 1.0], p)
+        return X, X @ beta + rng.standard_normal(n)
+
+    def test_matches_scipy_cho_solve(self):
+        X, Y = self._correlated(11)
+        data = Dataset(X, Y)
+        for k in range(1, 31):
+            gamma = np.zeros(30, dtype=int)
+            gamma[:k] = 1
+            gram = data.gram[:k, :k]
+            expect = cho_solve(cho_factor(gram, lower=True), data.xty[:k])
+            np.testing.assert_allclose(ls_refit(data, gamma), expect, rtol=1e-12, atol=0.0)
+
+    def test_collinear_columns(self):
+        # Column j replaced by a combination of two other selected columns.
+        X, Y = self._correlated(12)
+        for a, c in [(0, 1), (2, 5), (7, 8), (29, 3)]:
+            for j in range(X.shape[1]):
+                if j in (a, c):
+                    continue
+                Xc = X.copy()
+                Xc[:, j] = 0.3 * X[:, a] - 1.7 * X[:, c]
+                gamma = np.zeros(X.shape[1], dtype=int)
+                gamma[[a, c, j]] = 1
+                with pytest.raises(RankDeficientError):
+                    ls_refit(Dataset(Xc, Y), gamma)
 
     def test_duplicate_column_pairs(self):
         # The p=6, n=60 design of test_cli's sim fixture: whichever column
