@@ -23,7 +23,7 @@ took the normalizer's log-gamma from ``math.lgamma`` instead of
 ``np.linalg``.  Both differ from the scipy routines in the last bits, so
 ``enum_p6.json``, ``enum_p4_csv.json`` and ``replicate_s3.json`` were
 regenerated: only the n = 50 enumeration cases moved, by at most 1.2e-13
-(a few ulps of figures near -280), with the same argmax pairs, and one
+absolute and 6.4e-14 relative, with the same argmax pairs, and one
 refit's ``mspe`` in ``replicates.csv`` (and so its mean in ``table.csv``)
 moved in its last digit.  Both fit cases were unchanged.
 

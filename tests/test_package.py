@@ -33,6 +33,7 @@ assert np.isfinite(table.log_normalizer)
 truth, train, test = generate(2, 1, 0, n=60, n_test=20)  # runs simdata._sigma_from_chol
 summary = run_chain(train, Hyperparameters(), ChainControl(iters=40, burnin=20, seed=1, init="corr"))
 gamma, _ = median_probability_model(summary)
+assert gamma.any()  # so evaluate_selection's refit factors and solves
 report = evaluate_selection(gamma, truth.gamma0, train, test, summary.inclusion_probs)
 assert np.isfinite(report["mspe"])
 print(sorted(name for name, mod in sys.modules.items() if name.split(".")[0] == "scipy" and mod))
@@ -42,8 +43,14 @@ print(sorted(name for name, mod in sys.modules.items() if name.split(".")[0] == 
 def test_runs_without_scipy():
     # numpy is the only runtime dependency: the CLI module, an exact
     # table, a chain and its evaluation must neither need nor load scipy.
-    src = Path(jointdag.__file__).resolve().parent.parent
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
-    proc = subprocess.run([sys.executable, "-c", NO_SCIPY_RUN], env=env, capture_output=True, text=True, timeout=300)
+    src = str(Path(jointdag.__file__).resolve().parent.parent)  # this jointdag, not another
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", NO_SCIPY_RUN],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split("\n")[-2] == "[]"
+    assert proc.stdout.splitlines()[-1] == "[]"
