@@ -52,19 +52,18 @@ def _chol_diagonals(M: np.ndarray, idx: np.ndarray, name: str) -> np.ndarray:
     return np.diagonal(chol, axis1=1, axis2=2)
 
 
-def _log_diag_sums(
-    M: np.ndarray, idx: np.ndarray, name: str
-) -> tuple[np.ndarray, np.ndarray]:
-    """For each row ``pa + (i,)`` of the integer array ``idx`` (all rows of
-    one length), the sum of the log diagonal of the Cholesky factor of
-    ``M[pa, pa]`` and the log of the last diagonal entry of the factor of
-    ``M[pa + (i,), pa + (i,)]``.
+def _log_sums(diags) -> tuple[np.ndarray, np.ndarray]:
+    """For each row of the Cholesky diagonals of blocks ``M[pa + (i,),
+    pa + (i,)]``, given as a list of arrays whose rows each have one
+    length, the sum of the log diagonal of the factor of ``M[pa, pa]`` and
+    the log of the last diagonal entry; rows concatenated in order.
 
     The factor of the leading ``pa`` block is the leading corner of the
     factor of the ``pa + (i,)`` block, so one factorization gives both.
     """
-    log_diag = np.log(_chol_diagonals(M, idx, name))
-    return log_diag[:, :-1].sum(axis=1), log_diag[:, -1]
+    logs = [np.log(d) for d in diags]
+    half_gt = np.concatenate([g[:, :-1].sum(axis=1) for g in logs])
+    return half_gt, np.concatenate([g[:, -1] for g in logs])
 
 
 def _log_z_coefs(alpha, nu: int) -> tuple[float, float, float]:
@@ -117,10 +116,11 @@ class ColumnZDeltaCache:
     so only a column whose parent set changes needs a new value.  The
     misses of one call are unpacked together into index rows, each its
     parents in ascending order and then its vertex, and grouped by parent
-    count;
-    each group's ``U_post`` blocks are factored with one stacked Cholesky
-    (``_log_diag_sums``): one factorization per miss, and one more of the
-    same block of ``U``.  When ``U`` is the identity every prior-side log
+    count; each group's ``U_post`` blocks are factored with one stacked
+    Cholesky (``_chol_diagonals``): one factorization per miss, and one
+    more of the same block of ``U``.  ``_deltas`` turns the diagonals into
+    values, for the memo and for ``scoring.PosteriorTable``, which factors
+    its own blocks.  When ``U`` is the identity every prior-side log
     determinant is exactly 0.0, so the prior factor depends on the parent
     count alone; it is then memoized by that count and a miss factors
     only its posterior block.  ``offset`` must exceed 2 for the prior to
@@ -147,12 +147,9 @@ class ColumnZDeltaCache:
         """Compute, memoize and return the values of the distinct (vertex,
         parent set) pairs given by the integer array ``vertices`` and the
         rows of the packed bitsets ``bits``, whose memo keys are ``keys``;
-        none of them is memoized.
-
-        Each parent count's index rows are factored in one stack
-        (``_log_diag_sums``); the arithmetic that turns log diagonals into
-        values then runs once over all misses, with each miss's
-        coefficients (``_coefs``) repeated from its parent count.
+        none of them is memoized.  Each parent count's index rows are
+        factored in one stack, and ``_deltas`` turns all of them into values
+        at once.
         """
         member = np.unpackbits(bits, axis=1, count=self.p, bitorder="little")
         nus = member.sum(axis=1, dtype=np.intp)
@@ -160,32 +157,44 @@ class ColumnZDeltaCache:
         parents = member[by_nu].nonzero()[1]  # each miss's parents, ascending
         rows = vertices[by_nu]
         counts = np.bincount(nus)
-        present = counts.nonzero()[0].tolist()
-        sums = []
+        post, prior = [], []
         lo = start = 0
-        for nu in present:
+        for nu in counts.nonzero()[0].tolist():
             count = int(counts[nu])
             idx = np.empty((count, nu + 1), dtype=np.intp)
             idx[:, :nu] = parents[start : start + count * nu].reshape(count, nu)
             idx[:, nu] = rows[lo : lo + count]
-            post = _log_diag_sums(self.U_post, idx, _SCALE)
-            sums.append(post if self._identity else post + _log_diag_sums(self.U, idx, _SCALE))
+            post.append(_chol_diagonals(self.U_post, idx, _SCALE))
+            if not self._identity:
+                prior.append(_chol_diagonals(self.U, idx, _SCALE))
             lo += count
             start += count * nu
-        half_gt, last, *prior_sums = map(np.concatenate, zip(*sums))
-        coefs = np.repeat(np.array([self._coefs(nu) for nu in present]), counts[present], axis=0).T
-        vals = _log_z_from_coefs(coefs[:3], 2.0 * half_gt, 2.0 * (half_gt + last))
-        if prior_sums:
-            half_gt, last = prior_sums
-            vals -= _log_z_from_coefs(coefs[3:], 2.0 * half_gt, 2.0 * (half_gt + last))
-        else:
-            vals -= coefs[3]  # U = I: every prior-side log determinant is 0.0
         out = np.empty(len(keys))
-        out[by_nu] = vals
+        out[by_nu] = self._deltas(post, None if self._identity else prior)
         memo = self._memo
         for i, key, val in zip(vertices.tolist(), keys, out.tolist()):
             memo[i][key] = val
         return out
+
+    def _deltas(self, post, prior) -> np.ndarray:
+        """The values of (vertex, parent set) keys from the Cholesky
+        diagonals of their ``U_post`` blocks on the rows ``parents +
+        (vertex,)``, given as a list of arrays, each of one parent count;
+        ``prior`` lists the diagonals of the same blocks of ``U``, or is None
+        when ``U`` is the identity.  Rows are concatenated in order, and the
+        arithmetic runs once over all of them, with each key's coefficients
+        (``_coefs``) repeated from its parent count.
+        """
+        coefs = np.array([self._coefs(d.shape[1] - 1) for d in post])
+        coefs = np.repeat(coefs, [d.shape[0] for d in post], axis=0).T
+        half_gt, last = _log_sums(post)
+        vals = _log_z_from_coefs(coefs[:3], 2.0 * half_gt, 2.0 * (half_gt + last))
+        if prior is None:
+            vals -= coefs[3]  # U = I: every prior-side log determinant is 0.0
+        else:
+            half_gt, last = _log_sums(prior)
+            vals -= _log_z_from_coefs(coefs[3:], 2.0 * half_gt, 2.0 * (half_gt + last))
+        return vals
 
     def _coefs(self, nu: int) -> tuple[float, ...]:
         """The ``_log_z_coefs`` of the posterior and then of the prior

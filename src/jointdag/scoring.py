@@ -23,7 +23,7 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .dag_wishart import ColumnZDeltaCache, _chol_diagonals, pack_bitsets
+from .dag_wishart import ColumnZDeltaCache, _chol_diagonals
 from .errors import DimensionError, EnumerationLimitError, NotPositiveDefiniteError
 from .graphs import Dag, adjacency, log_prior_dag
 from .simdata import Dataset
@@ -77,8 +77,10 @@ class ScoreEngine:
     and the block's last pivot squared is the Schur complement of M,
     which is quad.  Reading quad off the pivot, not as a difference of
     two log determinants, keeps its relative rounding error near 1e-16.
-    ``marginals`` groups its misses by k and factors each group with one
-    stacked Cholesky, the normalizer's kernel ``_chol_diagonals``.
+    ``marginal`` factors a miss's block with the normalizer's kernel
+    ``_chol_diagonals``, and ``_likelihoods`` turns Cholesky diagonals into
+    values, for the memo and for ``PosteriorTable``, which factors its own
+    blocks.
 
     When Y'Y = 0, X'Y = 0 too and every quad is 0, but A's last row is
     zero, so no block is positive definite.  A[p, p] then holds 1: every
@@ -127,42 +129,24 @@ class ScoreEngine:
         """Sizes of the normalizer and likelihood memos."""
         return {"normalizer": len(self.zcache), "marginal": len(self._marginal_memo)}
 
-    def _fill(self, sets) -> None:
-        """Compute and memoize the integrated likelihoods of the active
-        index tuples ``sets``, none of them memoized."""
-        groups: dict[int, list] = {}
-        for s in sets:
-            groups.setdefault(len(s), []).append(s)
+    def _likelihoods(self, diags) -> np.ndarray:
+        """Integrated likelihoods from the Cholesky diagonals of blocks of A
+        on the rows ``g + (p,)``, given as a list of arrays, each of one
+        model size; rows are concatenated in order."""
+        logdet = np.concatenate([2.0 * np.log(d[:, :-1]).sum(axis=1) for d in diags])
+        quad = np.concatenate([d[:, -1] for d in diags]) ** 2 - self._quad_pad
         _, sigma2, a0, b0, _ = self.memo_inputs
-        last = (self.p,)
-        for group in groups.values():
-            idx = np.array([s + last for s in group], dtype=np.intp)
-            diag = _chol_diagonals(self._A, idx, "likelihood matrix")
-            logdet = 2.0 * np.log(diag[:, :-1]).sum(axis=1)
-            quad = diag[:, -1] ** 2 - self._quad_pad
-            if sigma2 is not None:
-                vals = -0.5 * logdet - quad / (2.0 * sigma2)
-            else:
-                vals = -0.5 * logdet - 0.5 * (self.data.n + 2.0 * a0) * np.log(b0 + 0.5 * quad)
-            self._marginal_memo.update(zip(group, vals.tolist()))
-
-    def marginals(self, sets) -> list[float]:
-        """Integrated response likelihoods of the active index tuples in the
-        sequence ``sets``, in order; every miss among them is computed in
-        one ``_fill``."""
-        memo = self._marginal_memo
-        vals = list(map(memo.get, sets))
-        if None in vals:
-            self._fill(dict.fromkeys(s for s, v in zip(sets, vals) if v is None))
-            vals = list(map(memo.__getitem__, sets))
-        return vals
+        if sigma2 is not None:
+            return -0.5 * logdet - quad / (2.0 * sigma2)
+        return -0.5 * logdet - 0.5 * (self.data.n + 2.0 * a0) * np.log(b0 + 0.5 * quad)
 
     def marginal(self, active: tuple[int, ...]) -> float:
         """Integrated response likelihood for the given active index tuple."""
         val = self._marginal_memo.get(active)
         if val is None:
-            self._fill((active,))
-            val = self._marginal_memo[active]
+            idx = np.array([active + (self.p,)], dtype=np.intp)
+            diag = _chol_diagonals(self._A, idx, "likelihood matrix")
+            val = self._marginal_memo[active] = float(self._likelihoods([diag])[0])
         return val
 
 
@@ -241,15 +225,15 @@ class _Domain:
     gammas: tuple[tuple[int, ...], ...]
     gamma_index: MappingProxyType
     gam: np.ndarray
-    actives: tuple[tuple[int, ...], ...]
     col_subsets: tuple[tuple[tuple[int, ...], ...], ...]
     col_index: tuple[MappingProxyType, ...]
-    key_vertices: np.ndarray
-    key_bits: np.ndarray
     key_nu: np.ndarray
     key_rest: np.ndarray
     col_slices: tuple[slice, ...]
     coupling: tuple[np.ndarray, ...]
+    stacks: tuple[tuple[np.ndarray, int, int], ...]
+    gamma_pos: np.ndarray
+    key_pos: np.ndarray
 
 
 @functools.lru_cache(maxsize=32)
@@ -257,19 +241,33 @@ def _domain(p: int, R: int) -> _Domain:
     """Everything a table needs that depends on (p, R) alone.
 
     The admissible inclusion vectors in lexicographic order (the rows of
-    ``gam``) with their active tuples; per column, its lexicographic
-    parent sets with their index; every (column, parent set) key in one
-    flat list, column by column, as its vertex and the parent set's packed
-    bitset, with its parent count and its count of absent candidates, and
-    each column's slice of it; and per column the coupling count
-    |gamma on the parent set| where the column itself is active, a
-    (gamma x parent set) matrix.  Arrays are read-only and sequences
-    tuples, so tables can share one domain.
+    ``gam``), listed by size with ``itertools.combinations``; per column,
+    its lexicographic parent sets with their index; every (column, parent
+    set) key in one flat list, column by column, with its parent count
+    and its count of absent candidates, and each column's slice of it;
+    and per column the coupling count |gamma on the parent set| where the
+    column itself is active, a (gamma x parent set) matrix.
+
+    ``stacks`` holds, per block size m, the index rows ``(rows, n_lik,
+    n_key)`` of every block of that size in the block-diagonal matrix
+    diag(A, U_post, U) of ``PosteriorTable``: first the n_lik likelihood
+    rows ``active + (p,)`` into A, one per inclusion vector with m - 1
+    active columns; then the n_key rows ``parents + (c,)`` of the (column,
+    parent set) keys with m - 1 parents, offset into U_post; then the same
+    key rows offset into U, which a table with U = I leaves off.
+    ``gamma_pos`` and ``key_pos`` give the inclusion vector and the key
+    each likelihood and key row's value fills, stack by stack.  Arrays are
+    read-only and sequences tuples, so tables can share one domain.
     """
-    gammas = tuple(g for g in itertools.product((0, 1), repeat=p) if sum(g) < R)
+    pairs = sorted(
+        (tuple(int(j in s) for j in range(p)), s)
+        for k in range(min(R, p + 1))
+        for s in itertools.combinations(range(p), k)
+    )
+    gammas = tuple(g for g, _ in pairs)
     gam = np.array(gammas, dtype=float)
     col_subsets = tuple(_lex_subsets(range(c + 1, p), R) for c in range(p))
-    key_vertices = np.array([c for c, subs in enumerate(col_subsets) for _ in subs], dtype=np.intp)
+    keys = [(c, s) for c, subs in enumerate(col_subsets) for s in subs]
     members = []
     coupling = []
     col_slices = []
@@ -280,24 +278,66 @@ def _domain(p: int, R: int) -> _Domain:
         coupling.append(_frozen(gam[:, [c]] * (gam @ member.T)))
         col_slices.append(slice(lo, lo + len(subs)))
         lo += len(subs)
-    key_member = np.concatenate(members)
-    key_nu = key_member.sum(axis=1)
+    key_nu = np.concatenate(members).sum(axis=1)
+    key_vertices = np.array([c for c, _ in keys], dtype=float)
+    stacks = []
+    gamma_pos = []
+    key_pos = []
+    for m in range(1, min(R, p + 1) + 1):
+        lik = [k for k, (_, s) in enumerate(pairs) if len(s) == m - 1]
+        key = [k for k, (_, s) in enumerate(keys) if len(s) == m - 1]
+        lik_rows = np.array([pairs[k][1] + (p,) for k in lik], dtype=np.intp).reshape(-1, m)
+        key_rows = np.array([keys[k][1] + (keys[k][0],) for k in key], dtype=np.intp).reshape(-1, m)
+        rows = np.concatenate([lik_rows, key_rows + (p + 1), key_rows + (2 * p + 1)])
+        stacks.append((_frozen(rows), len(lik), len(key)))
+        gamma_pos += lik
+        key_pos += key
     return _Domain(
         gammas=gammas,
         gamma_index=MappingProxyType({g: k for k, g in enumerate(gammas)}),
         gam=_frozen(gam),
-        actives=tuple(tuple(j for j in range(p) if g[j]) for g in gammas),
         col_subsets=col_subsets,
         col_index=tuple(
             MappingProxyType({s: k for k, s in enumerate(subs)}) for subs in col_subsets
         ),
-        key_vertices=_frozen(key_vertices),
-        key_bits=_frozen(pack_bitsets(key_member != 0)),
         key_nu=_frozen(key_nu),
-        key_rest=_frozen(p - 1 - key_vertices.astype(float) - key_nu),
+        key_rest=_frozen(p - 1 - key_vertices - key_nu),
         col_slices=tuple(col_slices),
         coupling=tuple(coupling),
+        stacks=tuple(stacks),
+        gamma_pos=_frozen(np.array(gamma_pos, dtype=np.intp)),
+        key_pos=_frozen(np.array(key_pos, dtype=np.intp)),
     )
+
+
+def _table_values(engine: ScoreEngine, dom: _Domain) -> tuple[np.ndarray, np.ndarray]:
+    """The integrated likelihood of each of the domain's inclusion vectors
+    and the normalizer delta of each of its (column, parent set) keys.
+
+    Lays A, U_post and U side by side in one block-diagonal matrix and
+    factors each of ``dom.stacks`` with one stacked Cholesky (leaving off
+    the U rows when U = I), then turns the diagonals into values with the
+    helpers the engine's memos use, and puts each value in its place.
+    """
+    p = engine.p
+    zc = engine.zcache
+    M = np.zeros((3 * p + 1, 3 * p + 1))
+    M[: p + 1, : p + 1] = engine._A
+    M[p + 1 : 2 * p + 1, p + 1 : 2 * p + 1] = zc.U_post
+    M[2 * p + 1 :, 2 * p + 1 :] = zc.U
+    lik, post, prior = [], [], []
+    for rows, n_lik, n_key in dom.stacks:
+        if zc._identity:
+            rows = rows[: n_lik + n_key]
+        diag = _chol_diagonals(M, rows, "likelihood or scale matrix")
+        lik.append(diag[:n_lik])
+        post.append(diag[n_lik : n_lik + n_key])
+        prior.append(diag[n_lik + n_key :])
+    marginal = np.empty(len(dom.gammas))
+    marginal[dom.gamma_pos] = engine._likelihoods(lik)
+    delta = np.empty(len(dom.key_nu))
+    delta[dom.key_pos] = zc._deltas(post, None if zc._identity else prior)
+    return marginal, delta
 
 
 class PosteriorTable:
@@ -311,11 +351,10 @@ class PosteriorTable:
     full product space.  ``entries()`` iterates the full domain on demand.
 
     Everything that depends on (p, R) alone is built once per (p, R) and
-    shared by every table (``_domain``).  A table makes one likelihood
-    batch (``ScoreEngine.marginals``) over its inclusion vectors and one
-    normalizer batch (``ColumnZDeltaCache.packed_deltas``) over every
-    (column, parent set) key, so each scores its misses with one stacked
-    Cholesky per model size or parent count.
+    shared by every table (``_domain``), down to the index rows of every
+    block a table factors.  ``_table_values`` factors all blocks of one
+    size, likelihood and normalizer alike, with one stacked Cholesky, and
+    neither reads nor fills the engine's memos.
     """
 
     def __init__(self, data: Dataset, hyper: Hyperparameters, engine: ScoreEngine):
@@ -331,12 +370,12 @@ class PosteriorTable:
         self._gamma_index = dom.gamma_index
         self._col_index = dom.col_index
         self._gam = dom.gam
-        self._gamma_base = -hyper.a * dom.gam.sum(axis=1) + np.array(engine.marginals(dom.actives))
+        marginal, delta = _table_values(engine, dom)
+        self._gamma_base = -hyper.a * dom.gam.sum(axis=1) + marginal
 
         # Per (column, parent set) key: edge prior plus normalizer delta.
         # Per column, each (gamma, parent set) pair adds the coupling bonus
         # 2b * |gamma on the parent set| when column c itself is active.
-        delta = engine.zcache.packed_deltas(dom.key_vertices, dom.key_bits)
         terms = dom.key_nu * log_q + dom.key_rest * log_1mq + delta
         b2 = 2.0 * hyper.b
         self._col_scores: list[np.ndarray] = []

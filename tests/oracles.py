@@ -18,7 +18,7 @@ from scipy.special import gammaln
 
 from jointdag import CholeskyParam, Dag
 from jointdag.cholesky import spd_cholesky
-from jointdag.dag_wishart import _log_diag_sums, _log_z_coefs, _log_z_from_coefs
+from jointdag.dag_wishart import _chol_diagonals, _log_sums, _log_z_coefs, _log_z_from_coefs
 from jointdag.spike_slab import Hyperparameters
 
 
@@ -27,10 +27,10 @@ from jointdag.spike_slab import Hyperparameters
 
 
 def log_z_column(U, i, parents, alpha_i):
-    """Vertex i's factor of the log normalizer, composed from the three
-    primitives that ``ColumnZDeltaCache._fill`` runs; ``parents`` is an
+    """Vertex i's factor of the log normalizer, composed from the four
+    primitives that ``ColumnZDeltaCache`` runs; ``parents`` is an
     ascending tuple."""
-    half_gt, last = _log_diag_sums(U, np.array([parents + (i,)], dtype=np.intp), "U")
+    half_gt, last = _log_sums([_chol_diagonals(U, np.array([parents + (i,)], dtype=np.intp), "U")])
     ld_gt, ld_ge = 2.0 * half_gt[0], 2.0 * (half_gt[0] + last[0])
     return float(_log_z_from_coefs(_log_z_coefs(alpha_i, len(parents)), ld_gt, ld_ge))
 

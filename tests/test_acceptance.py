@@ -188,11 +188,15 @@ def test_criterion_6_benchmark_band_strong_signals():
         t0 = time.perf_counter()
         data_seed, chain_seed = _rep_seeds(ROOT_SEED, r)
         truth, train, test = gen_scenario1(1, seed=data_seed)
+        # The chains differ only in b, so they share one engine, as the
+        # methods of a ``replicate`` run do.
+        engine = ScoreEngine(train, Hyperparameters())
         for b in (0.5, 0.0):
             summary = run_chain(
                 train,
                 Hyperparameters(b=b),
                 ChainControl(iters=10000, burnin=5000, seed=chain_seed, init="corr"),
+                engine,
             )
             gamma, _ = median_probability_model(summary)
             results[b].append(

@@ -299,11 +299,11 @@ class TestPackedKeys:
         assert packed_keys(bits) == packed
         assert packed == [np.packbits(row, bitorder="little").tobytes() for row in member]
         rows = []
-        log_diag_sums = dag_wishart._log_diag_sums
+        chol_diagonals = dag_wishart._chol_diagonals
         monkeypatch.setattr(
             dag_wishart,
-            "_log_diag_sums",
-            lambda M, idx, name: rows.extend(idx.tolist()) or log_diag_sums(M, idx, name),
+            "_chol_diagonals",
+            lambda M, idx, name: rows.extend(idx.tolist()) or chol_diagonals(M, idx, name),
         )
         cache = ColumnZDeltaCache(np.eye(p), 2.0 * np.eye(p), 5, 10.0)
         vals = cache.packed_deltas(np.array([i for i, _ in keys]), bits)

@@ -12,7 +12,9 @@ from jointdag import (
     enumerate_posterior,
     log_joint_score,
 )
+from jointdag import scoring
 from jointdag.errors import DimensionError, EnumerationLimitError
+from jointdag.scoring import PosteriorTable, _domain
 
 from oracles import dense_log_joint_score, random_dag
 
@@ -189,22 +191,19 @@ class TestEnumeratePosterior:
 
     def test_shift_invariance_of_scores(self):
         # Adding a constant to every integrated likelihood must leave the
-        # normalized table unchanged: only score differences matter.
+        # normalized table unchanged: only score differences matter.  The
+        # shift goes into the values the table's stacks turn into
+        # likelihoods, and the normalizer moves by exactly that much.
         rng = np.random.default_rng(13)
         data = toy_data(rng, 14, 3)
         h = Hyperparameters()
         t1 = enumerate_posterior(data, h)
 
         engine = ScoreEngine(data, h)
-        orig = engine.marginals
-
-        def shifted(sets):
-            return [v + 123.456 for v in orig(sets)]
-
-        engine.marginals = shifted  # type: ignore[method-assign]
-        from jointdag.scoring import PosteriorTable
-
+        orig = engine._likelihoods
+        engine._likelihoods = lambda diags: orig(diags) + 123.456  # type: ignore[method-assign]
         t2 = PosteriorTable(data, h, engine)
+        assert t2.log_normalizer == pytest.approx(t1.log_normalizer + 123.456, abs=1e-10)
         assert np.allclose(t1.variable_marginals(), t2.variable_marginals(), atol=1e-10)
         assert tuple(t1.argmax_gamma) == tuple(t2.argmax_gamma)
         assert t1.argmax_dag == t2.argmax_dag
@@ -213,8 +212,6 @@ class TestEnumeratePosterior:
         # Tables at one (p, R) share a cached domain; a table built on
         # other data first must not change a later one, and the shared
         # arrays must refuse writes.
-        from jointdag.scoring import _domain
-
         rng = np.random.default_rng(15)
         data_a, data_b = toy_data(rng, 20, 5), toy_data(rng, 40, 5)
         h = Hyperparameters(b=0.5, R=4)
@@ -229,11 +226,19 @@ class TestEnumeratePosterior:
         assert np.array_equal(warm.variable_marginals(), cold.variable_marginals())
         assert np.array_equal(warm.gamma_log_marginals(), cold.gamma_log_marginals())
         dom = _domain(5, 4)
-        for arr in (dom.gam, dom.key_nu, dom.key_rest, *dom.coupling):
+        stack_rows = [rows for rows, _, _ in dom.stacks]
+        shared = (dom.gam, dom.key_nu, dom.key_rest, *dom.coupling, *stack_rows)
+        for arr in (*shared, dom.gamma_pos, dom.key_pos):
             with pytest.raises(ValueError, match="read-only"):
-                arr[...] = 0.0
+                arr[...] = 0
         with pytest.raises(TypeError):
             dom.gamma_index[(1, 1, 1, 1, 1)] = 0
+
+    @pytest.mark.parametrize("p", range(1, 9))
+    def test_domain_lists_gammas_in_product_order(self, p):
+        for R in range(1, p + 3):
+            expect = tuple(g for g in itertools.product((0, 1), repeat=p) if sum(g) < R)
+            assert _domain(p, R).gammas == expect
 
     def test_csv_export(self, tmp_path):
         rng = np.random.default_rng(14)
@@ -247,6 +252,41 @@ class TestEnumeratePosterior:
         assert len(lines) == 1 + table.n_pairs
         probs = [float(ln.rsplit(",", 1)[1]) for ln in lines[1:]]
         assert sum(probs) == pytest.approx(1.0, abs=1e-9)
+
+
+class TestTableValues:
+    """A table's stacks and the engine's one-key memo routes give the same
+    likelihood and normalizer values, bit for bit."""
+
+    @pytest.mark.parametrize("response", ["data", "zero"])
+    @pytest.mark.parametrize("b", [0.0, 0.5])
+    @pytest.mark.parametrize("R", [None, 2, 3])
+    @pytest.mark.parametrize("sigma2", [None, 1.5])
+    @pytest.mark.parametrize("scale", ["identity", "general"])
+    @pytest.mark.parametrize("p", [4, 6])
+    def test_equal_to_memo_routes(self, monkeypatch, p, scale, sigma2, R, b, response):
+        rng = np.random.default_rng(p)
+        data = toy_data(rng, 12, p)
+        if response == "zero":
+            data = Dataset(data.X, np.zeros(data.n))
+        U = None
+        if scale == "general":
+            A = rng.standard_normal((p, p))
+            U = A @ A.T + p * np.eye(p)
+        h = Hyperparameters(sigma2=sigma2, R=R, b=b, U=U)
+        engine = ScoreEngine(data, h)
+        values = []
+        table_values = scoring._table_values
+        monkeypatch.setattr(
+            scoring, "_table_values", lambda e, d: values.append(table_values(e, d)) or values[-1]
+        )
+        table = PosteriorTable(data, h, engine)
+        assert engine.memo_entries() == {"normalizer": 0, "marginal": 0}
+        [(marginal, delta)] = values
+        actives = [tuple(j for j in range(p) if g[j]) for g in table.gammas]
+        assert marginal.tolist() == [engine.marginal(s) for s in actives]
+        keys = [(c, s) for c, subs in enumerate(table.col_subsets) for s in subs]
+        assert delta.tolist() == [engine.zcache.delta(c, s) for c, s in keys]
 
 
 def _all_dags_iter(p):

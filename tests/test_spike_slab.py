@@ -196,19 +196,11 @@ class TestMarginalBatch:
     @pytest.mark.parametrize("sigma2", [None, 1.5])
     def test_every_subset_matches_dense(self, design6, sigma2):
         h = Hyperparameters(sigma2=sigma2)
-        sets = [s for k in range(7) for s in itertools.combinations(range(6), k)]
-        vals = ScoreEngine(design6, h).marginals(sets)
-        for s, val in zip(sets, vals):
-            dense = dense_marginal(design6.Y, design6.X[:, list(s)], h)
-            assert val == pytest.approx(dense, rel=1e-10), s
-
-    def test_batch_bit_identical_to_single_keys(self, design6):
-        h = Hyperparameters()
-        sets = [(0, 2), (), (1, 3, 5), (0, 2), (4,), tuple(range(6)), (2, 3)]
-        batch = ScoreEngine(design6, h).marginals(sets)
-        one = ScoreEngine(design6, h)
-        assert batch == [one.marginal(s) for s in sets]
-        assert one.memo_entries()["marginal"] == 6
+        engine = ScoreEngine(design6, h)
+        for k in range(7):
+            for s in itertools.combinations(range(6), k):
+                dense = dense_marginal(design6.Y, design6.X[:, list(s)], h)
+                assert engine.marginal(s) == pytest.approx(dense, rel=1e-10), s
 
     @pytest.mark.parametrize("sigma2", [None, 1.5])
     def test_zero_response_is_leading_block_only(self, design6, sigma2):
@@ -216,20 +208,23 @@ class TestMarginalBatch:
         # quadratic form is 0 and only log det(I + tau2 Xg'Xg) remains.
         h = Hyperparameters(tau2=0.7, sigma2=sigma2)
         data = Dataset(design6.X, np.zeros(design6.n))
-        sets = [(), (3,), (0, 1, 4), tuple(range(6))]
-        for s, val in zip(sets, ScoreEngine(data, h).marginals(sets)):
+        engine = ScoreEngine(data, h)
+        for s in [(), (3,), (0, 1, 4), tuple(range(6))]:
             idx = list(s)
             logdet = np.linalg.slogdet(np.eye(len(s)) + h.tau2 * data.gram[np.ix_(idx, idx)])[1]
             expect = -0.5 * logdet
             if sigma2 is None:
                 expect -= 0.5 * (data.n + 2.0 * h.a0) * math.log(h.b0)
-            assert val == pytest.approx(expect, rel=1e-12, abs=1e-12)
+            assert engine.marginal(s) == pytest.approx(expect, rel=1e-12, abs=1e-12)
 
-    def test_table_factors_marginals_once_per_size(self, design6, monkeypatch):
-        h = Hyperparameters()
-        engine = ScoreEngine(design6, h)
-        PosteriorTable(design6, h, engine)  # fills both memos
-        engine._marginal_memo.clear()
+    @pytest.mark.parametrize("scale", ["identity", "general"])
+    def test_table_makes_one_stack_per_block_size(self, design6, monkeypatch, scale):
+        U = None
+        if scale == "general":
+            A = np.random.default_rng(8).standard_normal((6, 6))
+            U = A @ A.T + 6.0 * np.eye(6)
+        h = Hyperparameters(U=U)
+        engine = ScoreEngine(design6, h)  # its full factor of A comes first
         blocks = []
         cholesky = dag_wishart._cholesky_lo
         monkeypatch.setattr(
@@ -238,27 +233,13 @@ class TestMarginalBatch:
             lambda a, **kw: blocks.append(a.shape) or cholesky(a, **kw),
         )
         PosteriorTable(design6, h, engine)
-        # Sizes 0..5 lie below the default bound R = p = 6.
-        expect = [(math.comb(6, k), k + 1, k + 1) for k in range(6)]
-        assert sorted(blocks, key=lambda b: b[1]) == expect
-
-    def test_table_makes_one_normalizer_stack_per_parent_count(self, design6, monkeypatch):
-        h = Hyperparameters()
-        engine = ScoreEngine(design6, h)  # fresh: every key of the table misses
-        blocks = []
-        cholesky = dag_wishart._cholesky_lo
-        monkeypatch.setattr(
-            dag_wishart,
-            "_cholesky_lo",
-            lambda a, **kw: blocks.append(a.shape) or cholesky(a, **kw),
-        )
-        PosteriorTable(design6, h, engine)
-        # U = I, so a normalizer miss factors only its posterior block: the
-        # C(6, k + 1) (column, parent set) keys with k parents in one stack
-        # of size k + 1, beside one likelihood stack per model size k.
-        normalizer = [(math.comb(6, k + 1), k + 1, k + 1) for k in range(6)]
-        marginal = [(math.comb(6, k), k + 1, k + 1) for k in range(6)]
-        assert sorted(blocks) == sorted(normalizer + marginal)
+        # Blocks of size m: the C(6, m - 1) likelihood blocks of models
+        # with m - 1 columns and the C(6, m) U_post blocks of (column,
+        # parent set) keys with m - 1 parents, and as many U blocks unless
+        # U = I.  Sizes 1..6 lie below the default bound R = p = 6.
+        per_key = 1 if scale == "identity" else 2
+        expect = [(math.comb(6, m - 1) + per_key * math.comb(6, m), m, m) for m in range(1, 7)]
+        assert blocks == expect
 
     def test_non_pd_likelihood_block_named(self):
         # tau2 = 1e20 and Y = X: the Schur complement 1 - (1e10 / 1e10)^2 is
