@@ -31,25 +31,33 @@ _LOG_PI = math.log(math.pi)
 _SCALE = "scale submatrix"
 
 
-def _chol_diagonals(M: np.ndarray, idx: np.ndarray, name: str) -> np.ndarray:
-    """Diagonals of the Cholesky factors of ``M[row, row]`` for each row of
-    the integer array ``idx`` (all rows of one length), as one array.
+def _cholesky(stacks, name: str) -> None:
+    """Overwrite every block of each stack in ``stacks`` (arrays of shape
+    (count, m, m)) with its lower Cholesky factor.
 
-    One stacked Cholesky factors every block.  A block that is not
-    positive definite raises NotPositiveDefiniteError naming ``M`` by
-    ``name``.  The factorization is the gufunc behind
-    ``np.linalg.cholesky``, called directly: the samplers factor tens of
-    thousands of small stacks per chain, and the wrapper's type checks
-    cost twice the factorization itself.  The gufunc flags a block that
-    is not positive definite as an invalid value.
+    One stacked Cholesky per stack, all under one error state.  A block
+    that is not positive definite raises NotPositiveDefiniteError naming
+    the matrix it came from by ``name``.  The factorization is the gufunc
+    behind ``np.linalg.cholesky``, called directly: the samplers factor
+    tens of thousands of small stacks per chain, and the wrapper's type
+    checks cost twice the factorization itself.  The gufunc flags a block
+    that is not positive definite as an invalid value.
     """
-    blocks = M[idx[:, :, np.newaxis], idx[:, np.newaxis, :]]
     try:
         with np.errstate(invalid="raise"):
-            chol = _cholesky_lo(blocks, signature="d->d")
+            for blocks in stacks:
+                _cholesky_lo(blocks, out=blocks, signature="d->d")
     except FloatingPointError as exc:
         raise NotPositiveDefiniteError(f"{name} is not positive definite") from exc
-    return np.diagonal(chol, axis1=1, axis2=2)
+
+
+def _chol_diagonals(M: np.ndarray, idx: np.ndarray, name: str) -> np.ndarray:
+    """Diagonals of the Cholesky factors of ``M[row, row]`` for each row of
+    the integer array ``idx`` (all rows of one length), as one array;
+    ``_cholesky`` factors the blocks as one stack."""
+    blocks = M[idx[:, :, np.newaxis], idx[:, np.newaxis, :]]
+    _cholesky((blocks,), name)
+    return np.diagonal(blocks, axis1=1, axis2=2)
 
 
 def _log_sums(diags) -> tuple[np.ndarray, np.ndarray]:
@@ -118,13 +126,15 @@ class ColumnZDeltaCache:
     parents in ascending order and then its vertex, and grouped by parent
     count; each group's ``U_post`` blocks are factored with one stacked
     Cholesky (``_chol_diagonals``): one factorization per miss, and one
-    more of the same block of ``U``.  ``_deltas`` turns the diagonals into
-    values, for the memo and for ``scoring.PosteriorTable``, which factors
-    its own blocks.  When ``U`` is the identity every prior-side log
-    determinant is exactly 0.0, so the prior factor depends on the parent
-    count alone; it is then memoized by that count and a miss factors
-    only its posterior block.  ``offset`` must exceed 2 for the prior to
-    be proper; ``Hyperparameters`` checks it.
+    more of the same block of ``U``.  ``_deltas`` turns the log sums of
+    the diagonals (``_log_sums``) into values in one pass, for the memo
+    and for ``scoring.PosteriorTable``, which factors its own blocks and
+    reads their log sums off one padded array.  When ``U`` is the
+    identity every prior-side log determinant is exactly 0.0, so the
+    prior factor depends on the parent count alone; it is then the
+    memoized constant of that count and a miss factors only its
+    posterior block.  ``offset`` must exceed 2 for the prior to be
+    proper; ``Hyperparameters`` checks it.
     """
 
     def __init__(self, U: np.ndarray, U_post: np.ndarray, n: int, offset: float):
@@ -137,7 +147,7 @@ class ColumnZDeltaCache:
         # small, and a key is one short bytes object.
         self._memo: list[dict[bytes, float]] = [{} for _ in range(self.p)]
         self._identity = np.array_equal(self.U, np.eye(self.p))
-        self._by_nu: dict[int, tuple[float, ...]] = {}  # see ``_coefs``
+        self._by_nu = np.empty((0, 6))  # see ``_coefs``
 
     def __len__(self) -> int:
         """Number of memoized (vertex, parent set) values."""
@@ -148,8 +158,8 @@ class ColumnZDeltaCache:
         parent set) pairs given by the integer array ``vertices`` and the
         rows of the packed bitsets ``bits``, whose memo keys are ``keys``;
         none of them is memoized.  Each parent count's index rows are
-        factored in one stack, and ``_deltas`` turns all of them into values
-        at once.
+        factored in one stack, and ``_deltas`` turns the log sums of all of
+        them into values at once.
         """
         member = np.unpackbits(bits, axis=1, count=self.p, bitorder="little")
         nus = member.sum(axis=1, dtype=np.intp)
@@ -170,41 +180,44 @@ class ColumnZDeltaCache:
             lo += count
             start += count * nu
         out = np.empty(len(keys))
-        out[by_nu] = self._deltas(post, None if self._identity else prior)
+        prior = None if self._identity else _log_sums(prior)
+        out[by_nu] = self._deltas(nus[by_nu], _log_sums(post), prior)
         memo = self._memo
         for i, key, val in zip(vertices.tolist(), keys, out.tolist()):
             memo[i][key] = val
         return out
 
-    def _deltas(self, post, prior) -> np.ndarray:
-        """The values of (vertex, parent set) keys from the Cholesky
-        diagonals of their ``U_post`` blocks on the rows ``parents +
-        (vertex,)``, given as a list of arrays, each of one parent count;
-        ``prior`` lists the diagonals of the same blocks of ``U``, or is None
-        when ``U`` is the identity.  Rows are concatenated in order, and the
-        arithmetic runs once over all of them, with each key's coefficients
-        (``_coefs``) repeated from its parent count.
+    def _deltas(self, nus: np.ndarray, post, prior) -> np.ndarray:
+        """The values of (vertex, parent set) keys with the parent counts
+        ``nus`` from the ``_log_sums`` of their ``U_post`` blocks on the rows
+        ``parents + (vertex,)``: ``post`` is the pair (sums of the log
+        leading diagonal entries, logs of the last diagonal entries), and
+        ``prior`` the same pair for the blocks of ``U``, or None when ``U``
+        is the identity.  The arithmetic runs once over all keys, with each
+        key's coefficients (``_coefs``) indexed by its parent count.
         """
-        coefs = np.array([self._coefs(d.shape[1] - 1) for d in post])
-        coefs = np.repeat(coefs, [d.shape[0] for d in post], axis=0).T
-        half_gt, last = _log_sums(post)
+        coefs = self._coefs(nus)
+        half_gt, last = post
         vals = _log_z_from_coefs(coefs[:3], 2.0 * half_gt, 2.0 * (half_gt + last))
         if prior is None:
             vals -= coefs[3]  # U = I: every prior-side log determinant is 0.0
         else:
-            half_gt, last = _log_sums(prior)
+            half_gt, last = prior
             vals -= _log_z_from_coefs(coefs[3:], 2.0 * half_gt, 2.0 * (half_gt + last))
         return vals
 
-    def _coefs(self, nu: int) -> tuple[float, ...]:
+    def _coefs(self, nus: np.ndarray) -> np.ndarray:
         """The ``_log_z_coefs`` of the posterior and then of the prior
-        factor of a vertex with ``nu`` parents."""
-        coefs = self._by_nu.get(nu)
-        if coefs is None:
-            a_prior = nu + self.offset
-            coefs = _log_z_coefs(self.n + a_prior, nu) + _log_z_coefs(a_prior, nu)
-            self._by_nu[nu] = coefs
-        return coefs
+        factor of a vertex with each parent count in ``nus``, as the six
+        rows of one array; the rows per count are kept in ``_by_nu``."""
+        top = int(nus.max())
+        if top >= self._by_nu.shape[0]:
+            rows = []
+            for nu in range(top + 1):
+                a_prior = nu + self.offset
+                rows.append(_log_z_coefs(self.n + a_prior, nu) + _log_z_coefs(a_prior, nu))
+            self._by_nu = np.array(rows)
+        return self._by_nu[nus].T
 
     def delta(self, i: int, parents: tuple[int, ...]) -> float:
         key = packed_key(parents, self.p)

@@ -23,7 +23,7 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .dag_wishart import ColumnZDeltaCache, _chol_diagonals
+from .dag_wishart import ColumnZDeltaCache, _chol_diagonals, _cholesky, _log_sums
 from .errors import DimensionError, EnumerationLimitError, NotPositiveDefiniteError
 from .graphs import Dag, adjacency, log_prior_dag
 from .simdata import Dataset
@@ -78,9 +78,10 @@ class ScoreEngine:
     which is quad.  Reading quad off the pivot, not as a difference of
     two log determinants, keeps its relative rounding error near 1e-16.
     ``marginal`` factors a miss's block with the normalizer's kernel
-    ``_chol_diagonals``, and ``_likelihoods`` turns Cholesky diagonals into
-    values, for the memo and for ``PosteriorTable``, which factors its own
-    blocks.
+    ``_chol_diagonals``, and ``_likelihoods`` turns a factor's sum of log
+    leading diagonal entries and its last pivot into a value, for the memo
+    and, in one pass over all inclusion vectors, for ``PosteriorTable``,
+    which factors its own blocks.
 
     When Y'Y = 0, X'Y = 0 too and every quad is 0, but A's last row is
     zero, so no block is positive definite.  A[p, p] then holds 1: every
@@ -129,12 +130,12 @@ class ScoreEngine:
         """Sizes of the normalizer and likelihood memos."""
         return {"normalizer": len(self.zcache), "marginal": len(self._marginal_memo)}
 
-    def _likelihoods(self, diags) -> np.ndarray:
-        """Integrated likelihoods from the Cholesky diagonals of blocks of A
-        on the rows ``g + (p,)``, given as a list of arrays, each of one
-        model size; rows are concatenated in order."""
-        logdet = np.concatenate([2.0 * np.log(d[:, :-1]).sum(axis=1) for d in diags])
-        quad = np.concatenate([d[:, -1] for d in diags]) ** 2 - self._quad_pad
+    def _likelihoods(self, half_logdet: np.ndarray, last: np.ndarray) -> np.ndarray:
+        """Integrated likelihoods from the Cholesky factors of blocks of A
+        on the rows ``g + (p,)``: ``half_logdet`` holds each factor's sum of
+        log leading diagonal entries and ``last`` its last diagonal entry."""
+        logdet = 2.0 * half_logdet
+        quad = last**2 - self._quad_pad
         _, sigma2, a0, b0, _ = self.memo_inputs
         if sigma2 is not None:
             return -0.5 * logdet - quad / (2.0 * sigma2)
@@ -146,7 +147,9 @@ class ScoreEngine:
         if val is None:
             idx = np.array([active + (self.p,)], dtype=np.intp)
             diag = _chol_diagonals(self._A, idx, "likelihood matrix")
-            val = self._marginal_memo[active] = float(self._likelihoods([diag])[0])
+            half_logdet, _ = _log_sums([diag])
+            val = float(self._likelihoods(half_logdet, diag[:, -1])[0])
+            self._marginal_memo[active] = val
         return val
 
 
@@ -219,21 +222,65 @@ def _frozen(a: np.ndarray) -> np.ndarray:
 
 
 @dataclass(frozen=True)
+class _Plan:
+    """Where a table's blocks and Cholesky diagonals lie; see ``_domain``."""
+
+    gather: np.ndarray
+    spans: tuple[tuple[int, int, tuple[int, int, int]], ...]
+    diag_pos: np.ndarray
+
+
+@dataclass(frozen=True)
 class _Domain:
     """The data-independent part of a table at (p, R); see ``_domain``."""
 
     gammas: tuple[tuple[int, ...], ...]
     gamma_index: MappingProxyType
     gam: np.ndarray
+    gam_sizes: np.ndarray
     col_subsets: tuple[tuple[tuple[int, ...], ...], ...]
     col_index: tuple[MappingProxyType, ...]
     key_nu: np.ndarray
     key_rest: np.ndarray
     col_slices: tuple[slice, ...]
-    coupling: tuple[np.ndarray, ...]
-    stacks: tuple[tuple[np.ndarray, int, int], ...]
-    gamma_pos: np.ndarray
-    key_pos: np.ndarray
+    col_starts: np.ndarray
+    col_counts: np.ndarray
+    coupling: np.ndarray
+    identity_plan: _Plan
+    general_plan: _Plan
+
+
+def _plan(p: int, stacks, n_values: int) -> _Plan:
+    """The ``_Plan`` of the blocks ``stacks`` lists, per block size m, as
+    (kind, rows, values) triples: the index rows (count, m) of that
+    kind's blocks in its matrix and the value each block gives.  Kinds
+    are 0, 1 and 2 for A, U_post and U, which lie one after another in
+    a flat source whose last entry holds 1.0."""
+    offsets = ((p + 1) ** 2, p * p, p * p)  # each matrix's entry count
+    width = len(stacks) - 1
+    gather, spans = [], []
+    diag_pos = np.empty((n_values, width + 1), dtype=np.intp)
+    pad = sum(len(rows) * rows.shape[1] ** 2 for stack in stacks for _, rows, _ in stack)
+    lo = 0
+    for m, stack in enumerate(stacks, start=1):
+        count = 0
+        for kind, rows, values in stack:
+            base = sum(offsets[:kind])
+            n = p + 1 if kind == 0 else p
+            gather.append((base + rows[:, :, np.newaxis] * n + rows[:, np.newaxis, :]).ravel())
+            starts = lo + (count + np.arange(len(rows))) * m * m
+            diag_pos[values, : m - 1] = starts[:, np.newaxis] + (m + 1) * np.arange(m - 1)
+            diag_pos[values, m - 1 : width] = pad
+            diag_pos[values, width] = starts + (m + 1) * (m - 1)
+            count += len(rows)
+        spans.append((lo, lo + count * m * m, (count, m, m)))
+        lo += count * m * m
+    gather.append(np.array([sum(offsets)]))  # the 1.0 that pads diag_pos
+    return _Plan(
+        gather=_frozen(np.concatenate(gather)),
+        spans=tuple(spans),
+        diag_pos=_frozen(diag_pos),
+    )
 
 
 @functools.lru_cache(maxsize=32)
@@ -241,23 +288,34 @@ def _domain(p: int, R: int) -> _Domain:
     """Everything a table needs that depends on (p, R) alone.
 
     The admissible inclusion vectors in lexicographic order (the rows of
-    ``gam``), listed by size with ``itertools.combinations``; per column,
-    its lexicographic parent sets with their index; every (column, parent
-    set) key in one flat list, column by column, with its parent count
-    and its count of absent candidates, and each column's slice of it;
-    and per column the coupling count |gamma on the parent set| where the
-    column itself is active, a (gamma x parent set) matrix.
+    ``gam``, with their sizes), listed by size with
+    ``itertools.combinations``; per column, its lexicographic parent sets
+    with their index; every (column, parent set) key in one flat list,
+    column by column, with its parent count and its count of absent
+    candidates, and each column's slice, start and count in it; and the
+    coupling count |gamma on the parent set| of every (gamma, key) pair
+    whose column is active in gamma, a (gamma x key) matrix.
 
-    ``stacks`` holds, per block size m, the index rows ``(rows, n_lik,
-    n_key)`` of every block of that size in the block-diagonal matrix
-    diag(A, U_post, U) of ``PosteriorTable``: first the n_lik likelihood
-    rows ``active + (p,)`` into A, one per inclusion vector with m - 1
-    active columns; then the n_key rows ``parents + (c,)`` of the (column,
-    parent set) keys with m - 1 parents, offset into U_post; then the same
-    key rows offset into U, which a table with U = I leaves off.
-    ``gamma_pos`` and ``key_pos`` give the inclusion vector and the key
-    each likelihood and key row's value fills, stack by stack.  Arrays are
-    read-only and sequences tuples, so tables can share one domain.
+    A table scores its blocks from a flat source that holds A, U_post
+    and U one after another and then 1.0, and ``identity_plan`` and
+    ``general_plan`` say where, for U = I and for a general U.  Per block
+    size m there is one stack: the likelihood blocks on the rows ``active
+    + (p,)`` of A of the inclusion vectors with m - 1 active columns, then
+    the U_post blocks on the rows ``parents + (c,)`` of the keys with
+    m - 1 parents, then (general U only) the same blocks of U.  A plan's
+    ``gather`` indexes the source for every entry of every block, stack
+    after stack, and then once for the 1.0; ``spans`` gives each stack's
+    span and shape in it.  ``diag_pos`` has one row per value, in the
+    order inclusion vectors, keys (U_post), keys (U): the positions in
+    the gathered blocks of the block's leading Cholesky diagonal entries,
+    padded with the position of the 1.0 to a fixed width, and then of its
+    last entry.  The log of the padding is exactly 0, so a padded row
+    sums to the same bits as the unpadded one while rows stay narrower
+    than numpy's 8-wide pairwise-summation block: at most
+    ``ENUMERATION_LIMIT`` = 6 entries wide.
+
+    Arrays are read-only and sequences tuples, so tables can share one
+    domain.
     """
     pairs = sorted(
         (tuple(int(j in s) for j in range(p)), s)
@@ -268,45 +326,38 @@ def _domain(p: int, R: int) -> _Domain:
     gam = np.array(gammas, dtype=float)
     col_subsets = tuple(_lex_subsets(range(c + 1, p), R) for c in range(p))
     keys = [(c, s) for c, subs in enumerate(col_subsets) for s in subs]
-    members = []
-    coupling = []
-    col_slices = []
-    lo = 0
-    for c, subs in enumerate(col_subsets):
-        member = np.array([[j in s for j in range(p)] for s in subs], dtype=float)
-        members.append(member)
-        coupling.append(_frozen(gam[:, [c]] * (gam @ member.T)))
-        col_slices.append(slice(lo, lo + len(subs)))
-        lo += len(subs)
-    key_nu = np.concatenate(members).sum(axis=1)
-    key_vertices = np.array([c for c, _ in keys], dtype=float)
-    stacks = []
-    gamma_pos = []
-    key_pos = []
+    member = np.array([[j in s for j in range(p)] for _, s in keys], dtype=float)
+    key_vertices = np.array([c for c, _ in keys], dtype=np.intp)
+    key_nu = member.sum(axis=1).astype(np.intp)
+    col_counts = np.array([len(subs) for subs in col_subsets], dtype=np.intp)
+    col_starts = np.concatenate([[0], np.cumsum(col_counts)[:-1]]).astype(np.intp)
+    n_gam, n_key = len(gammas), len(keys)
+    identity, general = [], []
     for m in range(1, min(R, p + 1) + 1):
         lik = [k for k, (_, s) in enumerate(pairs) if len(s) == m - 1]
         key = [k for k, (_, s) in enumerate(keys) if len(s) == m - 1]
         lik_rows = np.array([pairs[k][1] + (p,) for k in lik], dtype=np.intp).reshape(-1, m)
         key_rows = np.array([keys[k][1] + (keys[k][0],) for k in key], dtype=np.intp).reshape(-1, m)
-        rows = np.concatenate([lik_rows, key_rows + (p + 1), key_rows + (2 * p + 1)])
-        stacks.append((_frozen(rows), len(lik), len(key)))
-        gamma_pos += lik
-        key_pos += key
+        stack = [(0, lik_rows, lik), (1, key_rows, [n_gam + k for k in key])]
+        identity.append(stack)
+        general.append(stack + [(2, key_rows, [n_gam + n_key + k for k in key])])
     return _Domain(
         gammas=gammas,
         gamma_index=MappingProxyType({g: k for k, g in enumerate(gammas)}),
         gam=_frozen(gam),
+        gam_sizes=_frozen(gam.sum(axis=1)),
         col_subsets=col_subsets,
         col_index=tuple(
             MappingProxyType({s: k for k, s in enumerate(subs)}) for subs in col_subsets
         ),
         key_nu=_frozen(key_nu),
-        key_rest=_frozen(p - 1 - key_vertices - key_nu),
-        col_slices=tuple(col_slices),
-        coupling=tuple(coupling),
-        stacks=tuple(stacks),
-        gamma_pos=_frozen(np.array(gamma_pos, dtype=np.intp)),
-        key_pos=_frozen(np.array(key_pos, dtype=np.intp)),
+        key_rest=_frozen((p - 1 - key_vertices - key_nu).astype(float)),
+        col_slices=tuple(map(slice, col_starts.tolist(), (col_starts + col_counts).tolist())),
+        col_starts=_frozen(col_starts),
+        col_counts=_frozen(col_counts),
+        coupling=_frozen(gam[:, key_vertices] * (gam @ member.T)),
+        identity_plan=_plan(p, identity, n_gam + n_key),
+        general_plan=_plan(p, general, n_gam + 2 * n_key),
     )
 
 
@@ -314,30 +365,26 @@ def _table_values(engine: ScoreEngine, dom: _Domain) -> tuple[np.ndarray, np.nda
     """The integrated likelihood of each of the domain's inclusion vectors
     and the normalizer delta of each of its (column, parent set) keys.
 
-    Lays A, U_post and U side by side in one block-diagonal matrix and
-    factors each of ``dom.stacks`` with one stacked Cholesky (leaving off
-    the U rows when U = I), then turns the diagonals into values with the
-    helpers the engine's memos use, and puts each value in its place.
+    Gathers every block the domain's plan lists from A, U_post and U with
+    one ``take``, factors each block size's stack in place with
+    ``_cholesky``, and reads every Cholesky diagonal with one more
+    ``take`` and one log.  The helpers the engine's memos use then turn
+    the log sums and last entries into values, each in one pass over all
+    of them.
     """
-    p = engine.p
     zc = engine.zcache
-    M = np.zeros((3 * p + 1, 3 * p + 1))
-    M[: p + 1, : p + 1] = engine._A
-    M[p + 1 : 2 * p + 1, p + 1 : 2 * p + 1] = zc.U_post
-    M[2 * p + 1 :, 2 * p + 1 :] = zc.U
-    lik, post, prior = [], [], []
-    for rows, n_lik, n_key in dom.stacks:
-        if zc._identity:
-            rows = rows[: n_lik + n_key]
-        diag = _chol_diagonals(M, rows, "likelihood or scale matrix")
-        lik.append(diag[:n_lik])
-        post.append(diag[n_lik : n_lik + n_key])
-        prior.append(diag[n_lik + n_key :])
-    marginal = np.empty(len(dom.gammas))
-    marginal[dom.gamma_pos] = engine._likelihoods(lik)
-    delta = np.empty(len(dom.key_nu))
-    delta[dom.key_pos] = zc._deltas(post, None if zc._identity else prior)
-    return marginal, delta
+    plan = dom.identity_plan if zc._identity else dom.general_plan
+    blocks = np.concatenate((engine._A, zc.U_post, zc.U, 1.0), axis=None).take(plan.gather)
+    stacks = [blocks[lo:hi].reshape(shape) for lo, hi, shape in plan.spans]
+    _cholesky(stacks, "likelihood or scale matrix")
+    diags = blocks.take(plan.diag_pos)
+    logs = np.log(diags)
+    half_gt = logs[:, :-1].sum(axis=1)
+    n_gam, n_key = len(dom.gammas), len(dom.key_nu)
+    marginal = engine._likelihoods(half_gt[:n_gam], diags[:n_gam, -1])
+    post = (half_gt[n_gam : n_gam + n_key], logs[n_gam : n_gam + n_key, -1])
+    prior = None if zc._identity else (half_gt[n_gam + n_key :], logs[n_gam + n_key :, -1])
+    return marginal, zc._deltas(dom.key_nu, post, prior)
 
 
 class PosteriorTable:
@@ -346,15 +393,22 @@ class PosteriorTable:
     The domain is every inclusion vector below the complexity bound
     crossed with every DAG whose largest column stays below the bound.
     Given gamma the DAG part of the score factors over columns, so the
-    table stores one (gamma x parent set) score matrix per column; the
-    normalizer, argmax and point probabilities never materialize the
-    full product space.  ``entries()`` iterates the full domain on demand.
+    table stores one (gamma x (column, parent set)) score matrix, column
+    after column; the normalizer, argmax and point probabilities never
+    materialize the full product space.  ``entries()`` iterates the full
+    domain on demand.
 
     Everything that depends on (p, R) alone is built once per (p, R) and
-    shared by every table (``_domain``), down to the index rows of every
-    block a table factors.  ``_table_values`` factors all blocks of one
-    size, likelihood and normalizer alike, with one stacked Cholesky, and
-    neither reads nor fills the engine's memos.
+    shared by every table (``_domain``), down to where each block a table
+    factors and each Cholesky diagonal it reads lies.  ``_table_values``
+    gathers all blocks at once, factors each block size's stack with one
+    stacked Cholesky, likelihood and normalizer blocks alike, and neither
+    reads nor fills the engine's memos.  The column reductions run over
+    the whole score matrix: per-column maxima by ``np.maximum.reduceat``,
+    one exp, per-column sums on slices, one log, and the column terms
+    added up in column order by ``np.add.accumulate``, which gives the
+    bits of a per-column loop.  The argmax reads the argmax gamma's row
+    only.
     """
 
     def __init__(self, data: Dataset, hyper: Hyperparameters, engine: ScoreEngine):
@@ -369,31 +423,37 @@ class PosteriorTable:
         self.col_subsets = dom.col_subsets
         self._gamma_index = dom.gamma_index
         self._col_index = dom.col_index
+        self._col_slices = dom.col_slices
         self._gam = dom.gam
         marginal, delta = _table_values(engine, dom)
-        self._gamma_base = -hyper.a * dom.gam.sum(axis=1) + marginal
+        self._gamma_base = -hyper.a * dom.gam_sizes + marginal
 
         # Per (column, parent set) key: edge prior plus normalizer delta.
-        # Per column, each (gamma, parent set) pair adds the coupling bonus
-        # 2b * |gamma on the parent set| when column c itself is active.
+        # Each (gamma, key) pair adds the coupling bonus 2b * |gamma on the
+        # parent set| when the key's column is active in gamma.
         terms = dom.key_nu * log_q + dom.key_rest * log_1mq + delta
-        b2 = 2.0 * hyper.b
-        self._col_scores: list[np.ndarray] = []
-        lse = self._gamma_base.copy()
-        mx = self._gamma_base.copy()
-        best_cols = []
-        for cols, coupling in zip(dom.col_slices, dom.coupling):
-            vals = terms[cols] + b2 * coupling
-            top = vals.max(axis=1)
-            lse += _logsumexp(vals, top)
-            mx += top
-            best_cols.append(vals.argmax(axis=1))  # first maximum: lexicographically smallest
-            self._col_scores.append(vals)
+        scores = self._scores = terms + 2.0 * hyper.b * dom.coupling
+        top = np.maximum.reduceat(scores.T, dom.col_starts)  # (column x gamma)
+        shifted = np.exp(scores - np.repeat(top, dom.col_counts, axis=0).T)
+        # Row 0 adds each column's log-sum-exp to the inclusion vector's own
+        # score and row 1 its maximum, in column order.
+        parts = np.empty((2, p + 1, len(dom.gammas)))
+        parts[:, 0] = self._gamma_base
+        col_lse = parts[0, 1:]
+        for c, cols in enumerate(dom.col_slices):
+            np.add.reduce(shifted[:, cols], axis=1, out=col_lse[c])
+        np.log(col_lse, out=col_lse)
+        col_lse += top
+        parts[1, 1:] = top
+        lse, mx = np.add.accumulate(parts, axis=1)[:, -1]
         self._gamma_lse = lse
         self.log_normalizer = float(_logsumexp(lse, lse.max()))
-        k = int(np.argmax(mx))  # first maximum, as for the parent sets
+        k = int(np.argmax(mx))  # first maximum: lexicographically smallest
+        # Per column, the first parent set that reaches the maximum on row k.
+        hits = np.flatnonzero(scores[k] == np.repeat(top[:, k], dom.col_counts))
+        best = hits[np.searchsorted(hits, dom.col_starts)] - dom.col_starts
         self.argmax_gamma = np.array(self.gammas[k], dtype=np.int8)
-        self.argmax_dag = Dag(p, tuple(subs[b[k]] for subs, b in zip(self.col_subsets, best_cols)))
+        self.argmax_dag = Dag(p, tuple(subs[b] for subs, b in zip(self.col_subsets, best.tolist())))
         self.argmax_log_score = float(mx[k])
 
     # -- queries ---------------------------------------------------------
@@ -404,11 +464,12 @@ class PosteriorTable:
         if k is None:
             return -math.inf
         total = self._gamma_base[k]
+        row = self._scores[k]
         for c in range(self.p):
             idx = self._col_index[c].get(dag.parents[c])
             if idx is None:
                 return -math.inf
-            total += self._col_scores[c][k, idx]
+            total += row[self._col_slices[c].start + idx]
         return float(total)
 
     def log_prob(self, gamma, dag: Dag) -> float:
@@ -437,7 +498,7 @@ class PosteriorTable:
         """Yield (gamma array, Dag, log_score, probability) over the domain."""
         for k, g in enumerate(self.gammas):
             base = self._gamma_base[k]
-            cols = [v[k] for v in self._col_scores]
+            cols = [self._scores[k, s] for s in self._col_slices]
             for combo in itertools.product(*(range(len(s)) for s in self.col_subsets)):
                 score = base + sum(cols[c][i] for c, i in enumerate(combo))
                 dag = Dag(self.p, tuple(self.col_subsets[c][i] for c, i in enumerate(combo)))

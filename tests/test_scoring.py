@@ -192,8 +192,9 @@ class TestEnumeratePosterior:
     def test_shift_invariance_of_scores(self):
         # Adding a constant to every integrated likelihood must leave the
         # normalized table unchanged: only score differences matter.  The
-        # shift goes into the values the table's stacks turn into
-        # likelihoods, and the normalizer moves by exactly that much.
+        # shift goes into the likelihood helper, which the table calls on
+        # its log sums and last pivots, and the normalizer moves by exactly
+        # that much.
         rng = np.random.default_rng(13)
         data = toy_data(rng, 14, 3)
         h = Hyperparameters()
@@ -201,7 +202,7 @@ class TestEnumeratePosterior:
 
         engine = ScoreEngine(data, h)
         orig = engine._likelihoods
-        engine._likelihoods = lambda diags: orig(diags) + 123.456  # type: ignore[method-assign]
+        engine._likelihoods = lambda *sums: orig(*sums) + 123.456  # type: ignore[method-assign]
         t2 = PosteriorTable(data, h, engine)
         assert t2.log_normalizer == pytest.approx(t1.log_normalizer + 123.456, abs=1e-10)
         assert np.allclose(t1.variable_marginals(), t2.variable_marginals(), atol=1e-10)
@@ -226,9 +227,9 @@ class TestEnumeratePosterior:
         assert np.array_equal(warm.variable_marginals(), cold.variable_marginals())
         assert np.array_equal(warm.gamma_log_marginals(), cold.gamma_log_marginals())
         dom = _domain(5, 4)
-        stack_rows = [rows for rows, _, _ in dom.stacks]
-        shared = (dom.gam, dom.key_nu, dom.key_rest, *dom.coupling, *stack_rows)
-        for arr in (*shared, dom.gamma_pos, dom.key_pos):
+        plans = [(plan.gather, plan.diag_pos) for plan in (dom.identity_plan, dom.general_plan)]
+        shared = (dom.gam, dom.gam_sizes, dom.key_nu, dom.key_rest, dom.coupling)
+        for arr in (*shared, dom.col_starts, dom.col_counts, *itertools.chain(*plans)):
             with pytest.raises(ValueError, match="read-only"):
                 arr[...] = 0
         with pytest.raises(TypeError):
@@ -254,9 +255,31 @@ class TestEnumeratePosterior:
         assert sum(probs) == pytest.approx(1.0, abs=1e-9)
 
 
+def pd_scale(rng, p):
+    A = rng.standard_normal((p, p))
+    return A @ A.T + p * np.eye(p)
+
+
 class TestTableValues:
-    """A table's stacks and the engine's one-key memo routes give the same
-    likelihood and normalizer values, bit for bit."""
+    """A table's one-gather route and the engine's one-key memo routes give
+    the same likelihood and normalizer values, bit for bit."""
+
+    @staticmethod
+    def _check(monkeypatch, data, h):
+        engine = ScoreEngine(data, h)
+        values = []
+        table_values = scoring._table_values
+        monkeypatch.setattr(
+            scoring, "_table_values", lambda e, d: values.append(table_values(e, d)) or values[-1]
+        )
+        table = PosteriorTable(data, h, engine)
+        monkeypatch.undo()
+        assert engine.memo_entries() == {"normalizer": 0, "marginal": 0}
+        [(marginal, delta)] = values
+        actives = [tuple(j for j in range(data.p) if g[j]) for g in table.gammas]
+        assert marginal.tolist() == [engine.marginal(s) for s in actives]
+        keys = [(c, s) for c, subs in enumerate(table.col_subsets) for s in subs]
+        assert delta.tolist() == [engine.zcache.delta(c, s) for c, s in keys]
 
     @pytest.mark.parametrize("response", ["data", "zero"])
     @pytest.mark.parametrize("b", [0.0, 0.5])
@@ -269,24 +292,86 @@ class TestTableValues:
         data = toy_data(rng, 12, p)
         if response == "zero":
             data = Dataset(data.X, np.zeros(data.n))
-        U = None
-        if scale == "general":
-            A = rng.standard_normal((p, p))
-            U = A @ A.T + p * np.eye(p)
-        h = Hyperparameters(sigma2=sigma2, R=R, b=b, U=U)
-        engine = ScoreEngine(data, h)
-        values = []
-        table_values = scoring._table_values
-        monkeypatch.setattr(
-            scoring, "_table_values", lambda e, d: values.append(table_values(e, d)) or values[-1]
-        )
-        table = PosteriorTable(data, h, engine)
-        assert engine.memo_entries() == {"normalizer": 0, "marginal": 0}
-        [(marginal, delta)] = values
-        actives = [tuple(j for j in range(p) if g[j]) for g in table.gammas]
-        assert marginal.tolist() == [engine.marginal(s) for s in actives]
-        keys = [(c, s) for c, subs in enumerate(table.col_subsets) for s in subs]
-        assert delta.tolist() == [engine.zcache.delta(c, s) for c, s in keys]
+        U = pd_scale(rng, p) if scale == "general" else None
+        self._check(monkeypatch, data, Hyperparameters(sigma2=sigma2, R=R, b=b, U=U))
+
+    @pytest.mark.parametrize("scale", ["identity", "general"])
+    @pytest.mark.parametrize("p", range(1, 7))
+    def test_every_size_and_bound(self, monkeypatch, p, scale):
+        # Every complexity bound up to p + 1: R = 1 leaves every block's
+        # leading part empty, p = 1 has a single column, and R = p + 1 adds
+        # the model with every column active, whose block size holds no
+        # normalizer block.
+        rng = np.random.default_rng(40 + p)
+        data = toy_data(rng, 12, p)
+        U = pd_scale(rng, p) if scale == "general" else None
+        for R in range(1, p + 2):
+            self._check(monkeypatch, data, Hyperparameters(R=R, U=U))
+
+
+class TestColumnReductions:
+    """The table's column reductions over its one score matrix give the
+    bits of a per-column loop: a contiguous copy of each column's scores,
+    its maximum, a log-sum-exp over its row, and the column terms added to
+    the inclusion vector's own score in column order."""
+
+    @pytest.mark.parametrize("q", [0.005, 0.5])
+    @pytest.mark.parametrize("b", [0.0, 0.5])
+    @pytest.mark.parametrize("scale", ["identity", "general"])
+    @pytest.mark.parametrize("p", [1, 4, 6])
+    def test_equal_to_per_column_loop(self, p, scale, b, q):
+        # q = 0.5 spreads each column's mass over its parent sets, so the
+        # sums of many comparable terms expose any change in their order.
+        rng = np.random.default_rng(60 + p)
+        data = toy_data(rng, 8, p)
+        U = pd_scale(rng, p) if scale == "general" else None
+        table = enumerate_posterior(data, Hyperparameters(b=b, q=q, U=U))
+        lse = table._gamma_base.copy()
+        mx = table._gamma_base.copy()
+        for cols in table._col_slices:
+            vals = np.ascontiguousarray(table._scores[:, cols])
+            top = vals.max(axis=1)
+            lse += top + np.log(np.exp(vals - top[:, None]).sum(axis=1))
+            mx += top
+        assert table._gamma_lse.tolist() == lse.tolist()
+        assert table.argmax_log_score == mx.max()
+
+
+class TestArgmaxTies:
+    """The table promises the first maximum, the lexicographically smallest
+    parent set among tied ones.  Here X[:, 5] = X[:, 4], so column 3's
+    parent sets (4,) and (5,) score exactly alike."""
+
+    @staticmethod
+    def _tied_data():
+        rng = np.random.default_rng(3)
+        X = rng.standard_normal((40, 6))
+        X[:, 5] = X[:, 4]
+        X[:, 3] = X[:, 4] + 0.3 * rng.standard_normal(40)
+        Y = X[:, 0] + rng.standard_normal(40)
+        return Dataset(X, Y)
+
+    @pytest.mark.parametrize("R", [None, 2])
+    def test_first_of_tied_parent_sets(self, R):
+        table = enumerate_posterior(self._tied_data(), Hyperparameters(b=0.0, R=R))
+        parents = list(table.argmax_dag.parents)
+        tied = []
+        for pa in [(4,), (5,)]:
+            parents[3] = pa
+            tied.append(table.log_score(table.argmax_gamma, Dag(6, tuple(parents))))
+        assert tied[0] == tied[1] == table.argmax_log_score
+        assert table.argmax_dag.parents[3] == (4,)
+
+    def test_matches_first_maximum_of_entries(self):
+        # R = 2 keeps the domain to 5,040 pairs and the same tie.
+        table = enumerate_posterior(self._tied_data(), Hyperparameters(b=0.0, R=2))
+        best = None
+        for gamma, dag, score, _ in table.entries():
+            if best is None or score > best[2]:
+                best = (gamma, dag, score)
+        assert tuple(best[0]) == tuple(table.argmax_gamma)
+        assert best[1] == table.argmax_dag
+        assert best[2] == pytest.approx(table.argmax_log_score, abs=1e-12)
 
 
 def _all_dags_iter(p):
