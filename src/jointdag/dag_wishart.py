@@ -18,6 +18,7 @@ gives both log determinants of every block in a batch.
 
 from __future__ import annotations
 
+import functools
 import math
 from itertools import repeat
 
@@ -90,6 +91,25 @@ def _log_z_from_coefs(coefs, ld_gt, ld_ge):
     return const + c_gt * ld_gt - c_ge * ld_ge
 
 
+@functools.lru_cache(maxsize=64)
+def _coef_table(n: int, offset: float, p: int) -> np.ndarray:
+    """Row nu, for every parent count nu = 0..p: the ``_log_z_coefs`` of a
+    vertex's posterior factor (shape n + nu + offset) and then of its
+    prior factor (shape nu + offset), six entries in all; read-only.
+
+    Under the shape rule ``half - 1`` is (n + offset) / 2 - 1 or
+    offset / 2 - 1 whatever the parent count, positive for every offset
+    above 2, so no row reaches a pole of the log-gamma.
+    """
+    rows = []
+    for nu in range(p + 1):
+        a_prior = nu + offset
+        rows.append(_log_z_coefs(n + a_prior, nu) + _log_z_coefs(a_prior, nu))
+    table = np.array(rows)
+    table.flags.writeable = False
+    return table
+
+
 # Memo keys.  A parent set of a p-vertex graph is keyed by its packed
 # bitset: ceil(p / 8) bytes in which bit j % 8 of byte j // 8 is set when
 # j is a parent.  Equal sets give equal bytes, so keys never collide, and
@@ -132,12 +152,23 @@ class ColumnZDeltaCache:
     reads their log sums off one padded array.  When ``U`` is the
     identity every prior-side log determinant is exactly 0.0, so the
     prior factor depends on the parent count alone; it is then the
-    memoized constant of that count and a miss factors only its
-    posterior block.  ``offset`` must exceed 2 for the prior to be
+    constant of that count and a miss factors only its posterior block.
+    ``identity`` says whether ``U`` is the identity; a caller that knows
+    it (``ScoreEngine`` without a given U) passes True, and None compares
+    ``U`` with the identity.  Every count's coefficients come from one
+    read-only table per (n, offset, p) shared by all caches
+    (``_coef_table``).  ``offset`` must exceed 2 for the prior to be
     proper; ``Hyperparameters`` checks it.
     """
 
-    def __init__(self, U: np.ndarray, U_post: np.ndarray, n: int, offset: float):
+    def __init__(
+        self,
+        U: np.ndarray,
+        U_post: np.ndarray,
+        n: int,
+        offset: float,
+        identity: bool | None = None,
+    ):
         self.U = np.asarray(U, dtype=float)
         self.U_post = np.asarray(U_post, dtype=float)
         self.n = int(n)
@@ -146,8 +177,10 @@ class ColumnZDeltaCache:
         # One memo per vertex, keyed by packed parent set: each table stays
         # small, and a key is one short bytes object.
         self._memo: list[dict[bytes, float]] = [{} for _ in range(self.p)]
-        self._identity = np.array_equal(self.U, np.eye(self.p))
-        self._by_nu = np.empty((0, 6))  # see ``_coefs``
+        if identity is None:
+            identity = np.array_equal(self.U, np.eye(self.p))
+        self._identity = identity
+        self._coef_rows = _coef_table(self.n, self.offset, self.p)
 
     def __len__(self) -> int:
         """Number of memoized (vertex, parent set) values."""
@@ -194,9 +227,9 @@ class ColumnZDeltaCache:
         leading diagonal entries, logs of the last diagonal entries), and
         ``prior`` the same pair for the blocks of ``U``, or None when ``U``
         is the identity.  The arithmetic runs once over all keys, with each
-        key's coefficients (``_coefs``) indexed by its parent count.
+        key's six coefficients (``_coef_table``) taken by its parent count.
         """
-        coefs = self._coefs(nus)
+        coefs = self._coef_rows.take(nus, axis=0).T
         half_gt, last = post
         vals = _log_z_from_coefs(coefs[:3], 2.0 * half_gt, 2.0 * (half_gt + last))
         if prior is None:
@@ -205,19 +238,6 @@ class ColumnZDeltaCache:
             half_gt, last = prior
             vals -= _log_z_from_coefs(coefs[3:], 2.0 * half_gt, 2.0 * (half_gt + last))
         return vals
-
-    def _coefs(self, nus: np.ndarray) -> np.ndarray:
-        """The ``_log_z_coefs`` of the posterior and then of the prior
-        factor of a vertex with each parent count in ``nus``, as the six
-        rows of one array; the rows per count are kept in ``_by_nu``."""
-        top = int(nus.max())
-        if top >= self._by_nu.shape[0]:
-            rows = []
-            for nu in range(top + 1):
-                a_prior = nu + self.offset
-                rows.append(_log_z_coefs(self.n + a_prior, nu) + _log_z_coefs(a_prior, nu))
-            self._by_nu = np.array(rows)
-        return self._by_nu[nus].T
 
     def delta(self, i: int, parents: tuple[int, ...]) -> float:
         key = packed_key(parents, self.p)

@@ -87,39 +87,50 @@ class ScoreEngine:
     zero, so no block is positive definite.  A[p, p] then holds 1: every
     last pivot is exactly 1, and quad is that pivot squared less 1.
 
-    The constructor factors the whole of A once and raises
+    The constructor factors a copy of A once and raises
     NotPositiveDefiniteError if it is not positive definite.  By Cauchy
     interlacing every principal block of A is at least as well
     conditioned as A, so a dataset whose likelihood blocks cannot be
     factored fails here, not part-way through a chain.
+
+    Without a given U the scale is the identity, and the engine tells its
+    normalizer memo so; a given U is compared with the identity once,
+    so an explicit identity takes the same route.
     """
 
     def __init__(self, data: Dataset, hyper: Hyperparameters):
         p = data.p
         self.data = data
         self.p = p
-        self.U = self._scale(hyper)
-        if self.U.shape != (p, p):
-            raise DimensionError(f"scale matrix shape {self.U.shape} does not match p={p}")
+        eye = np.eye(p)
+        if hyper.U is None:
+            self.U, identity = eye, True
+        else:
+            self.U = np.asarray(hyper.U, dtype=float)
+            if self.U.shape != (p, p):
+                raise DimensionError(f"scale matrix shape {self.U.shape} does not match p={p}")
+            identity = np.array_equal(self.U, eye)
         self.memo_inputs = _memo_inputs(hyper)
-        self.zcache = ColumnZDeltaCache(self.U, self.U + data.gram, data.n, hyper.alpha_offset)
+        self.zcache = ColumnZDeltaCache(
+            self.U, self.U + data.gram, data.n, hyper.alpha_offset, identity
+        )
         self._marginal_memo: dict[tuple[int, ...], float] = {}
         self._quad_pad = 1.0 if data.yty == 0.0 else 0.0
         A = np.empty((p + 1, p + 1))
-        A[:p, :p] = hyper.tau2 * data.gram + np.eye(p)
+        A[:p, :p] = hyper.tau2 * data.gram + eye
         A[:p, p] = A[p, :p] = math.sqrt(hyper.tau2) * data.xty
         A[p, p] = data.yty + self._quad_pad
-        _chol_diagonals(A, np.arange(p + 1)[np.newaxis], "likelihood matrix")
+        _cholesky((A[np.newaxis].copy(),), "likelihood matrix")
         self._A = A
-
-    def _scale(self, hyper: Hyperparameters) -> np.ndarray:
-        return np.asarray(hyper.U if hyper.U is not None else np.eye(self.p), dtype=float)
 
     def check_serves(self, data: Dataset, hyper: Hyperparameters) -> None:
         """Raise ValueError unless this engine's memos hold for (data, hyper)."""
         if data is not self.data:
             raise ValueError("score engine was built for another Dataset object")
-        same_U = np.array_equal(self._scale(hyper), self.U)
+        if hyper.U is None:
+            same_U = self.zcache._identity
+        else:
+            same_U = np.array_equal(hyper.U, self.U)
         if _memo_inputs(hyper) != self.memo_inputs or not same_U:
             raise ValueError(
                 "score engine was built for other memo inputs "
@@ -158,6 +169,16 @@ def _memo_inputs(hyper: Hyperparameters) -> tuple:
     return (hyper.tau2, hyper.sigma2, hyper.a0, hyper.b0, hyper.alpha_offset)
 
 
+def _checked_gamma(gamma, dag: Dag, p: int) -> np.ndarray:
+    """``gamma`` as an array, after checking it and ``dag`` against p."""
+    g = np.asarray(gamma)
+    if g.shape != (p,):
+        raise DimensionError(f"gamma length {g.shape} does not match p={p}")
+    if dag.p != p:
+        raise DimensionError(f"dag has {dag.p} vertices but data has p={p}")
+    return g
+
+
 def _annotated(component: str, exc: Exception) -> Exception:
     exc.args = (f"[{component}] {exc.args[0] if exc.args else ''}",) + exc.args[1:]
     return exc
@@ -176,11 +197,7 @@ def log_joint_score(
     -inf total.  Numeric failures of the normalizer or the likelihood are
     re-raised with the failing component named.
     """
-    g = np.asarray(gamma)
-    if g.shape != (data.p,):
-        raise DimensionError(f"gamma length {g.shape} does not match p={data.p}")
-    if dag.p != data.p:
-        raise DimensionError(f"dag has {dag.p} vertices but data has p={data.p}")
+    g = _checked_gamma(gamma, dag, data.p)
     if engine is None:
         try:
             engine = ScoreEngine(data, hyper)
@@ -245,6 +262,7 @@ class _Domain:
     col_slices: tuple[slice, ...]
     col_starts: np.ndarray
     col_counts: np.ndarray
+    col_keys: np.ndarray
     coupling: np.ndarray
     identity_plan: _Plan
     general_plan: _Plan
@@ -292,9 +310,14 @@ def _domain(p: int, R: int) -> _Domain:
     ``itertools.combinations``; per column, its lexicographic parent sets
     with their index; every (column, parent set) key in one flat list,
     column by column, with its parent count and its count of absent
-    candidates, and each column's slice, start and count in it; and the
-    coupling count |gamma on the parent set| of every (gamma, key) pair
-    whose column is active in gamma, a (gamma x key) matrix.
+    candidates, and each column's slice, start and count in it; a
+    (column x largest column count) array ``col_keys`` of each column's
+    key positions in that list, padded at the end by repeats of its first
+    key, so that an argmax along a row of a column's scores taken through
+    it is the first maximum among that column's keys: a pad equals the
+    first entry and comes after it; and the coupling count |gamma on the
+    parent set| of every (gamma, key) pair whose column is active in
+    gamma, a (gamma x key) matrix.
 
     A table scores its blocks from a flat source that holds A, U_post
     and U one after another and then 1.0, and ``identity_plan`` and
@@ -331,6 +354,8 @@ def _domain(p: int, R: int) -> _Domain:
     key_nu = member.sum(axis=1).astype(np.intp)
     col_counts = np.array([len(subs) for subs in col_subsets], dtype=np.intp)
     col_starts = np.concatenate([[0], np.cumsum(col_counts)[:-1]]).astype(np.intp)
+    width = np.arange(col_counts.max())
+    col_keys = col_starts[:, np.newaxis] + np.where(width < col_counts[:, np.newaxis], width, 0)
     n_gam, n_key = len(gammas), len(keys)
     identity, general = [], []
     for m in range(1, min(R, p + 1) + 1):
@@ -355,6 +380,7 @@ def _domain(p: int, R: int) -> _Domain:
         col_slices=tuple(map(slice, col_starts.tolist(), (col_starts + col_counts).tolist())),
         col_starts=_frozen(col_starts),
         col_counts=_frozen(col_counts),
+        col_keys=_frozen(col_keys),
         coupling=_frozen(gam[:, key_vertices] * (gam @ member.T)),
         identity_plan=_plan(p, identity, n_gam + n_key),
         general_plan=_plan(p, general, n_gam + 2 * n_key),
@@ -406,13 +432,23 @@ class PosteriorTable:
     reads nor fills the engine's memos.  The column reductions run over
     the whole score matrix: per-column maxima by ``np.maximum.reduceat``,
     one exp, per-column sums on slices, one log, and the column terms
-    added up in column order by ``np.add.accumulate``, which gives the
-    bits of a per-column loop.  The argmax reads the argmax gamma's row
-    only.
+    added up in column order by ``np.add.reduce`` along the column axis,
+    which adds them one after another and so gives the bits of a
+    per-column loop.  The argmax takes the argmax gamma's row through the
+    domain's padded per-column key index (``col_keys``) and reads each
+    column's first maximum off one ``argmax``.
+
+    Without an ``engine`` the table builds its own and pays for nothing
+    else; a given engine must have been built for this ``data`` object
+    and the same memo inputs (see ``ScoreEngine``), else ValueError.  The
+    table neither reads nor fills the engine's memos either way.
     """
 
-    def __init__(self, data: Dataset, hyper: Hyperparameters, engine: ScoreEngine):
-        engine.check_serves(data, hyper)
+    def __init__(self, data: Dataset, hyper: Hyperparameters, engine: ScoreEngine | None = None):
+        if engine is None:
+            engine = ScoreEngine(data, hyper)
+        else:
+            engine.check_serves(data, hyper)
         p = data.p
         R = hyper.effective_R(p)
         log_q, log_1mq = math.log(hyper.q), math.log1p(-hyper.q)
@@ -445,13 +481,12 @@ class PosteriorTable:
         np.log(col_lse, out=col_lse)
         col_lse += top
         parts[1, 1:] = top
-        lse, mx = np.add.accumulate(parts, axis=1)[:, -1]
+        lse, mx = np.add.reduce(parts, axis=1)
         self._gamma_lse = lse
         self.log_normalizer = float(_logsumexp(lse, lse.max()))
         k = int(np.argmax(mx))  # first maximum: lexicographically smallest
         # Per column, the first parent set that reaches the maximum on row k.
-        hits = np.flatnonzero(scores[k] == np.repeat(top[:, k], dom.col_counts))
-        best = hits[np.searchsorted(hits, dom.col_starts)] - dom.col_starts
+        best = scores[k].take(dom.col_keys).argmax(axis=1)
         self.argmax_gamma = np.array(self.gammas[k], dtype=np.int8)
         self.argmax_dag = Dag(p, tuple(subs[b] for subs, b in zip(self.col_subsets, best.tolist())))
         self.argmax_log_score = float(mx[k])
@@ -459,7 +494,7 @@ class PosteriorTable:
     # -- queries ---------------------------------------------------------
 
     def log_score(self, gamma, dag: Dag) -> float:
-        g = tuple(int(v) for v in gamma)
+        g = tuple(int(v) for v in _checked_gamma(gamma, dag, self.p))
         k = self._gamma_index.get(g)
         if k is None:
             return -math.inf
@@ -527,5 +562,4 @@ def enumerate_posterior(data: Dataset, hyper: Hyperparameters) -> PosteriorTable
         raise EnumerationLimitError(
             f"enumeration over p={data.p} exceeds the limit of {ENUMERATION_LIMIT}"
         )
-    engine = ScoreEngine(data, hyper)
-    return PosteriorTable(data, hyper, engine)
+    return PosteriorTable(data, hyper)

@@ -282,6 +282,57 @@ class TestColumnZDeltaCache:
         assert sum(math.prod(b) for b in blocks) == 3 * per_miss
 
 
+class TestCoefTable:
+    """Every cache with one (n, offset, p) reads its coefficients from one
+    shared, read-only table with a row per parent count 0..p."""
+
+    @pytest.mark.parametrize("n, offset, p", [(9, 10.0, 5), (0, 2.5, 1), (800, 3.25, 12)])
+    def test_rows_are_per_count_coefficients(self, n, offset, p):
+        table = dag_wishart._coef_table(n, offset, p)
+        assert table.shape == (p + 1, 6)
+        for nu in range(p + 1):
+            a = nu + offset
+            assert table[nu].tolist() == list(
+                dag_wishart._log_z_coefs(n + a, nu) + dag_wishart._log_z_coefs(a, nu)
+            )
+        with pytest.raises(ValueError, match="read-only"):
+            table[0, 0] = 0.0
+
+    def test_caches_share_one_table(self, monkeypatch):
+        p, n, offset = 7, 31, 10.0
+        dag_wishart._coef_table.cache_clear()  # so the third cache's (n, offset, p) is new
+        first = ColumnZDeltaCache(np.eye(p), 2.0 * np.eye(p), n, offset)
+        calls = []
+        log_z_coefs = dag_wishart._log_z_coefs
+        monkeypatch.setattr(
+            dag_wishart, "_log_z_coefs", lambda *a: calls.append(a) or log_z_coefs(*a)
+        )
+        second = ColumnZDeltaCache(np.eye(p), 3.0 * np.eye(p), n, offset)
+        assert second._coef_rows is first._coef_rows and calls == []
+        ColumnZDeltaCache(np.eye(p), 3.0 * np.eye(p), n + 1, offset)
+        assert len(calls) == 2 * (p + 1)
+
+    @pytest.mark.parametrize("scale", ["identity", "general"])
+    def test_fill_up_to_p_minus_one_parents(self, scale):
+        # Vertex 0 with every parent count 0..p - 1 in one fill: the last
+        # key has every other vertex as a parent, the table's row p - 1.
+        rng = np.random.default_rng(36)
+        p, n, offset = 7, 20, 10.0
+        X = rng.standard_normal((n, p))
+        if scale == "identity":
+            U = np.eye(p)
+        else:
+            B = rng.standard_normal((p, p))
+            U = B @ B.T + p * np.eye(p)
+        U_post = U + X.T @ X
+        keys = [(0, tuple(range(1, 1 + nu))) for nu in range(p)]
+        vals = packed_lookup(ColumnZDeltaCache(U, U_post, n, offset), keys)
+        for (i, pa), val in zip(keys, vals):
+            a = len(pa) + offset
+            direct = log_z_column(U_post, i, pa, n + a) - log_z_column(U, i, pa, a)
+            assert abs(val - direct) <= 1e-12 * abs(direct)
+
+
 class TestPackedKeys:
     """A parent set's memo key round-trips: the key packed from a tuple
     equals the key the sampler reads off its packed bitset array, and the

@@ -229,7 +229,7 @@ class TestEnumeratePosterior:
         dom = _domain(5, 4)
         plans = [(plan.gather, plan.diag_pos) for plan in (dom.identity_plan, dom.general_plan)]
         shared = (dom.gam, dom.gam_sizes, dom.key_nu, dom.key_rest, dom.coupling)
-        for arr in (*shared, dom.col_starts, dom.col_counts, *itertools.chain(*plans)):
+        for arr in (*shared, dom.col_starts, dom.col_counts, dom.col_keys, *itertools.chain(*plans)):
             with pytest.raises(ValueError, match="read-only"):
                 arr[...] = 0
         with pytest.raises(TypeError):
@@ -337,6 +337,28 @@ class TestColumnReductions:
         assert table.argmax_log_score == mx.max()
 
 
+def _first_maximum(table):
+    """The first maximum over ``table.entries()``, as (gamma, Dag, score).
+
+    Per inclusion vector, every DAG's score is added up as ``entries()``
+    adds it (the vector's own score plus the column scores summed from 0
+    in column order), laid out in ``itertools.product`` order, so the
+    first ``argmax`` is the first maximum among that vector's entries;
+    the vectors are then compared in order with a strict ``>``."""
+    best = None
+    for k, g in enumerate(table.gammas):
+        acc = np.zeros(())
+        for cols in table._col_slices:
+            acc = np.add.outer(acc, table._scores[k, cols])
+        scores = (table._gamma_base[k] + acc).ravel()
+        i = int(np.argmax(scores))
+        if best is None or scores[i] > best[2]:
+            pick = np.unravel_index(i, acc.shape)
+            dag = Dag(table.p, tuple(subs[j] for subs, j in zip(table.col_subsets, pick)))
+            best = (g, dag, float(scores[i]))
+    return best
+
+
 class TestArgmaxTies:
     """The table promises the first maximum, the lexicographically smallest
     parent set among tied ones.  Here X[:, 5] = X[:, 4], so column 3's
@@ -364,14 +386,111 @@ class TestArgmaxTies:
 
     def test_matches_first_maximum_of_entries(self):
         # R = 2 keeps the domain to 5,040 pairs and the same tie.
-        table = enumerate_posterior(self._tied_data(), Hyperparameters(b=0.0, R=2))
+        self._check_entries(2)
+
+    def test_ragged_columns_match_first_maximum_of_entries(self):
+        # At R = 3 the columns hold 16, 11, 7, 4, 2 and 1 parent sets, so
+        # most rows of the padded per-column key index end in pads
+        # (216,832 pairs).
+        table = self._check_entries(3)
+        assert [len(subs) for subs in table.col_subsets] == [16, 11, 7, 4, 2, 1]
+
+    def _check_entries(self, R):
+        table = enumerate_posterior(self._tied_data(), Hyperparameters(b=0.0, R=R))
         best = None
         for gamma, dag, score, _ in table.entries():
             if best is None or score > best[2]:
-                best = (gamma, dag, score)
-        assert tuple(best[0]) == tuple(table.argmax_gamma)
+                best = (tuple(gamma), dag, score)
+        assert best == _first_maximum(table)
+        assert best[0] == tuple(table.argmax_gamma)
         assert best[1] == table.argmax_dag
         assert best[2] == pytest.approx(table.argmax_log_score, abs=1e-12)
+        return table
+
+    def test_matches_first_maximum_at_default_bound(self):
+        # The default bound has 2,064,384 pairs, too many to walk through
+        # entries() here; _first_maximum adds up the same scores in the
+        # same order, and _check_entries ties it to entries() at R = 2 and 3.
+        table = enumerate_posterior(self._tied_data(), Hyperparameters(b=0.0))
+        gamma, dag, score = _first_maximum(table)
+        assert gamma == tuple(table.argmax_gamma)
+        assert dag == table.argmax_dag
+        assert score == pytest.approx(table.argmax_log_score, abs=1e-12)
+
+
+class TestTableEngine:
+    """A table builds its own engine when given none, and then checks
+    nothing; a given engine is checked.  Both routes give the same bits."""
+
+    @staticmethod
+    def _figures(table):
+        return (
+            table.log_normalizer,
+            table.gamma_log_marginals().tolist(),
+            table.variable_marginals().tolist(),
+            tuple(table.argmax_gamma),
+            table.argmax_dag,
+            table.argmax_log_score,
+            [table.log_score(g, dag) for g, dag, _, _ in table.entries()],
+        )
+
+    @pytest.mark.parametrize("case", ["None", "identity", "general", "sigma2", "R2"])
+    def test_own_and_given_engine_agree(self, case):
+        rng = np.random.default_rng(70)
+        data = toy_data(rng, 20, 4)
+        h = Hyperparameters(
+            U={"identity": np.eye(4), "general": pd_scale(rng, 4)}.get(case),
+            sigma2=1.5 if case == "sigma2" else None,
+            R=2 if case == "R2" else None,
+        )
+        own = PosteriorTable(data, h)
+        given = PosteriorTable(data, h, ScoreEngine(data, h))
+        assert self._figures(own) == self._figures(given)
+
+    def test_given_engine_is_checked(self):
+        rng = np.random.default_rng(71)
+        data = toy_data(rng, 20, 4)
+        U = pd_scale(rng, 4)
+        h = Hyperparameters()
+        others = [
+            (Dataset(data.X, data.Y), h),
+            (data, Hyperparameters(tau2=2.0)),
+            (data, Hyperparameters(U=U)),
+        ]
+        for other_data, other_h in others:
+            with pytest.raises(ValueError, match="score engine was built for"):
+                PosteriorTable(data, h, ScoreEngine(other_data, other_h))
+        with pytest.raises(ValueError, match="score engine was built for"):
+            PosteriorTable(data, Hyperparameters(U=U), ScoreEngine(data, h))
+
+    def test_enumeration_builds_one_unchecked_engine(self, monkeypatch):
+        rng = np.random.default_rng(72)
+        data = toy_data(rng, 20, 4)
+        engines = []
+        init = ScoreEngine.__init__
+        monkeypatch.setattr(
+            ScoreEngine, "__init__", lambda self, *args: engines.append(self) or init(self, *args)
+        )
+        monkeypatch.setattr(ScoreEngine, "check_serves", lambda *args: pytest.fail("checked"))
+        compared = []
+        array_equal = np.array_equal
+        monkeypatch.setattr(np, "array_equal", lambda *a: compared.append(a) or array_equal(*a))
+        enumerate_posterior(data, Hyperparameters())
+        assert len(engines) == 1 and engines[0].zcache._identity
+        assert compared == []  # U = None is known to be the identity
+        enumerate_posterior(data, Hyperparameters(U=np.eye(4)))
+        assert len(compared) == 1 and engines[1].zcache._identity
+
+    def test_queries_check_dimensions(self):
+        rng = np.random.default_rng(73)
+        table = enumerate_posterior(toy_data(rng, 20, 4), Hyperparameters())
+        queries = (table.log_score, table.log_prob, table.prob)
+        bad = [(np.zeros(3), Dag.empty(4)), (np.zeros(5), Dag.empty(4)), (np.zeros(4), Dag.empty(3))]
+        for query in queries:
+            for gamma, dag in bad:
+                with pytest.raises(DimensionError):
+                    query(gamma, dag)
+            assert np.isfinite(query(np.zeros(4), Dag.empty(4)))
 
 
 def _all_dags_iter(p):
